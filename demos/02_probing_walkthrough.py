@@ -1,9 +1,11 @@
 """The probing stack, one layer at a time, with moving filters.
 
 A probing filter is a handful of 3D points with per-point weights: the
-sensor layer reads the field at each point by trilinear interpolation,
-the Gaussian layer turns raw distances into nearness, and the dot
-product collapses each filter to one activation. Both the point
+sensor stage reads the field at each point by trilinear interpolation,
+the Gaussian stage turns raw distances into nearness, and the dot
+product collapses each filter to one activation. `ProbingLayer` runs the
+three stages over a whole batch of fields at once; here the batch is the
+one octahedron field, so each forward returns a (1, C) activation row. Both the point
 LOCATIONS and the weights carry gradients, so a filter can slide
 through the volume during optimization. The walkthrough builds a small
 bank over the octahedron field and runs plain gradient descent on the
@@ -14,7 +16,7 @@ import numpy as np
 
 from fieldprobe import (
     InitConfig,
-    ProbingPipeline,
+    ProbingLayer,
     ShapeSample,
     field_from_occupancy,
     init_filter_bank,
@@ -39,8 +41,8 @@ print("bank: %d filters x %d points x %d channels = %d MACs per volume"
       % (bank.filter_count, bank.points_per_filter, bank.channel_count,
          mac_count(bank)))
 
-pipeline = ProbingPipeline(bank, sigma=3.0)
-activations = pipeline.forward(field)
+layer = ProbingLayer(bank, sigma=3.0)
+activations = layer.forward([field])[0]
 print("forward: activations %s, first three %s"
       % (activations.shape, np.round(activations[:3], 4)))
 
@@ -50,9 +52,9 @@ lr = 20.0
 start = bank.locations.copy()
 print("\n iter    loss     mean |dL/dx|   mean move (voxels)")
 for step in range(8):
-    loss = pipeline.forward(field).sum()
+    loss = layer.forward([field], train=True).sum()
     bank.zero_gradients()
-    pipeline.backward(np.ones(bank.filter_count))
+    layer.backward(np.ones((1, bank.filter_count)))
     grad = bank.location_gradients
     moved = np.linalg.norm(bank.locations - start, axis=-1).mean()
     print("  %2d   %8.4f     %.6f       %.3f"
@@ -60,7 +62,7 @@ for step in range(8):
     bank.locations -= lr * grad
     bank.clamp_locations()
 
-final = pipeline.forward(field, with_gradients=False).sum()
+final = layer.forward([field]).sum()
 drift = np.linalg.norm(bank.locations - start, axis=-1).mean()
 print("\nloss %.4f after 8 location-only steps; points drifted %.2f voxels"
       % (final, drift))

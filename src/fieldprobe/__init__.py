@@ -2,13 +2,15 @@
 
 The pipeline, in dependency order: `ingest` turns OFF meshes and XYZ
 clouds into normalized, voxelized occupancy grids; `field` converts
-occupancy into distance and normal fields with trilinear sampling;
-`probing` holds the learnable filter bank and its three layers (sensor,
-distance-to-weight Gaussian, dot product); `nn` is the minimal dense
-network stack; `trainer` orchestrates datasets, training, evaluation,
-checkpoints, and transfer; `synthetic` generates the five-primitive
-dataset; `bench` witnesses the resolution-agnostic cost claim; `cli`
-wires it all to the `fieldprobe` executable.
+occupancy into distance and normal fields with trilinear sampling; `nn`
+is the minimal dense network stack and its finite-difference checker;
+`probing` holds the learnable filter bank and the batch-native probing
+layer with its three stages (sensor, distance-to-weight Gaussian, dot
+product); `synthetic` generates the five-primitive dataset and the
+multilinear test field; `trainer` orchestrates datasets, training,
+evaluation, checkpoints, and transfer; `bench` witnesses the
+resolution-agnostic cost claim; `cli` wires it all to the `fieldprobe`
+executable.
 """
 
 from .bench import BenchReport, ConvConfig, conv3d_reference, run_bench
@@ -52,7 +54,7 @@ from .nn import (
 from .probing import (
     FilterBank,
     InitConfig,
-    ProbingPipeline,
+    ProbingLayer,
     dotproduct_forward,
     gaussian_forward,
     init_filter_bank,
@@ -88,7 +90,7 @@ __all__ = [
     "OccupancyGrid",
     "ParseError",
     "Perturbation",
-    "ProbingPipeline",
+    "ProbingLayer",
     "ReLU",
     "Sgd",
     "SgdConfig",

@@ -19,12 +19,13 @@ import time
 import numpy as np
 
 from .field import Field3D, ROLE_DISTANCE, ROLE_GENERIC
-from .probing import InitConfig, init_filter_bank, mac_count
-from .trainer import ProbingBlock
+from .probing import InitConfig, ProbingLayer, init_filter_bank, mac_count
 
 BENCH_HEADER = "resolution,kind,mean_ms,std_ms,macs,bytes"
 
 MODES = ("fixed-stride", "fixed-S")
+
+WARMUPS = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,17 +142,14 @@ def _machine_info():
         platform.platform(), platform.python_version(), np.__version__)
 
 
-def _time_callables(fns, reps, warmups=3, min_seconds=1e-3):
+def _time_callables(fns, reps, min_seconds=1e-3):
     """Mean/std wall milliseconds per call over >= `reps` measurements.
 
     Each measurement runs the whole set of callables enough times that
     the monotonic clock resolves it (auto-scaled inner loop), then
-    divides back down to a single call.
+    divides back down to a single call. The callables must be warm.
     """
     reps = max(10, int(reps))
-    for _ in range(warmups):
-        for fn in fns:
-            fn()
     t0 = time.perf_counter()
     for fn in fns:
         fn()
@@ -167,7 +165,7 @@ def _time_callables(fns, reps, warmups=3, min_seconds=1e-3):
     return float(samples.mean() * 1e3), float(samples.std() * 1e3), reps
 
 
-def _time_parallel(fns, reps, workers, warmups=3):
+def _time_parallel(fns, reps, workers, warmups=WARMUPS):
     """Effective per-call milliseconds when `fns` run concurrently."""
     reps = max(10, int(reps))
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -188,7 +186,7 @@ def _probing_setup(init_cfg, resolution, channel_count, rng):
     bank = init_filter_bank(init_cfg, resolution,
                             channel_count=channel_count, dtype=np.float32)
     sigma = 0.1 * (resolution - 4)
-    block = ProbingBlock(bank, sigma)
+    layer = ProbingLayer(bank, sigma)
     roles = np.full(channel_count, ROLE_GENERIC, dtype=np.uint8)
     roles[0] = ROLE_DISTANCE
     values = rng.standard_normal(
@@ -197,8 +195,8 @@ def _probing_setup(init_cfg, resolution, channel_count, rng):
     field.gradients  # the precomputed stack is field preparation, not layer cost
 
     def once():
-        out = block.forward([field], train=True)
-        block.backward(out)
+        out = layer.forward([field], train=True)
+        layer.backward(out)
 
     touched = (field.values.nbytes + field.gradients.nbytes
                + bank.locations.nbytes + bank.weights.nbytes)
@@ -243,7 +241,7 @@ def run_bench(resolutions, init_cfg=None, conv_cfg=None, mode="fixed-stride",
     init_cfg = init_cfg or InitConfig()
     conv_cfg = conv_cfg or ConvConfig()
     suffix = "@%d" % workers if workers > 1 else ""
-    rows = []
+    setups = []
     for resolution in resolutions:
         rng = np.random.default_rng((seed, resolution))
         if mode == "fixed-stride":
@@ -260,14 +258,23 @@ def run_bench(resolutions, init_cfg=None, conv_cfg=None, mode="fixed-stride",
                                                     channel_count, rng)),
                             ("conv",
                              lambda: _conv_setup(cfg_r, resolution, rng))):
-            builds = [setup() for _ in range(workers)]
-            fns = [b[0] for b in builds]
-            macs, touched = builds[0][1], builds[0][2]
-            if workers == 1:
-                mean_ms, std_ms, done = _time_callables(fns, reps)
-            else:
-                mean_ms, std_ms, done = _time_parallel(fns, reps, workers)
-            rows.append(BenchRow(resolution=resolution, kind=kind + suffix,
-                                 mean_ms=mean_ms, std_ms=std_ms, macs=macs,
-                                 bytes=touched, reps=done))
+            setups.append((resolution, kind,
+                           [setup() for _ in range(workers)]))
+    # Warm every resolution before any row is timed: the first row timed
+    # on a cold heap reads slow, which biases t(high)/t(low) low.
+    for _, _, builds in setups:
+        for _ in range(WARMUPS):
+            for fn, _, _ in builds:
+                fn()
+    rows = []
+    for resolution, kind, builds in setups:
+        fns = [b[0] for b in builds]
+        macs, touched = builds[0][1], builds[0][2]
+        if workers == 1:
+            mean_ms, std_ms, done = _time_callables(fns, reps)
+        else:
+            mean_ms, std_ms, done = _time_parallel(fns, reps, workers)
+        rows.append(BenchRow(resolution=resolution, kind=kind + suffix,
+                             mean_ms=mean_ms, std_ms=std_ms, macs=macs,
+                             bytes=touched, reps=done))
     return BenchReport(rows=rows, machine=_machine_info())

@@ -131,28 +131,53 @@ def field_from_occupancy(occ: OccupancyGrid, dtype=np.float32) -> Field3D:
     return Field3D(values, [ROLE_DISTANCE, ROLE_NORMAL_X, ROLE_NORMAL_Y, ROLE_NORMAL_Z])
 
 
-def _trilinear(table, r, points):
-    """Trilinear interpolation of an (R^3, K) table of lattice rows, flat
-    index (z*R + y)*R + x, at (M, 3) points given as (x, y, z). Returns
-    (M, K) float64; only the 8 gathered corner rows are promoted. Points are
-    clamped to the lattice hull; integer points reproduce stored values
-    exactly."""
+def trilinear_corners(points, r):
+    """Cell corners and trilinear weights of (M, 3) points given as
+    (x, y, z) on an R^3 lattice. Returns flat node indices
+    (z*R + y)*R + x and their weights, both (8, M), corners in dz, dy, dx
+    order. Points are clamped to the lattice hull."""
     if r < 2:
         raise ValueError("sampling needs a lattice of at least 2 nodes per axis")
     p = np.clip(np.asarray(points, dtype=np.float64), 0.0, r - 1.0)
     i0 = np.clip(np.floor(p).astype(np.int64), 0, r - 2)
     f = p - i0
     base = (i0[:, 2] * r + i0[:, 1]) * r + i0[:, 0]
-    out = 0.0
-    for dz in (0, 1):
+    index = np.empty((8, len(p)), dtype=np.int64)
+    weights = np.empty((8, len(p)), dtype=np.float64)
+    for k, (dz, dy, dx) in enumerate(np.ndindex(2, 2, 2)):
+        index[k] = base + (dz * r + dy) * r + dx
+        wx = f[:, 0] if dx else 1.0 - f[:, 0]
+        wy = f[:, 1] if dy else 1.0 - f[:, 1]
         wz = f[:, 2] if dz else 1.0 - f[:, 2]
-        for dy in (0, 1):
-            wy = f[:, 1] if dy else 1.0 - f[:, 1]
-            for dx in (0, 1):
-                wx = f[:, 0] if dx else 1.0 - f[:, 0]
-                w = wx * wy * wz
-                rows = np.take(table, base + ((dz * r + dy) * r + dx), axis=0)
-                out = out + w[:, None] * rows.astype(np.float64)
+        weights[k] = wx * wy * wz
+    return index, weights
+
+
+def gather_corners(field, index, with_gradients=True):
+    """The field's rows at flat node indices, (..., K) in its own float
+    width: 4T-wide block rows with gradients, else T value rows. np.take
+    copies a strided table whole before gathering, so only contiguous
+    tables are gathered from: whole block rows (sliced afterwards), or the
+    channel planes of an unbuilt field."""
+    t, r = field.channel_count, field.resolution
+    if with_gradients:
+        field.gradients  # builds the block on first use
+    if field._block is not None:
+        rows = np.take(field._block.reshape(r**3, 4 * t), index, axis=0)
+        return rows if with_gradients else rows[..., :t]
+    planes = np.take(field.values.reshape(t, r**3), index, axis=1)
+    return np.moveaxis(planes, 0, -1)
+
+
+def interpolate(rows, weights, out=None):
+    """Trilinear values from (8, ..., K) corner rows and weights
+    broadcastable to them: each corner's product is taken in float64 and
+    the corners are added in dz, dy, dx order, so integer points reproduce
+    stored values exactly. One corner at a time keeps the temporaries at
+    one corner's size."""
+    out = np.multiply(weights[0], rows[0], out=out)
+    for k in range(1, 8):
+        out += weights[k] * rows[k]
     return out
 
 
@@ -161,21 +186,14 @@ def sample_field(field: Field3D, points, with_gradients=True):
 
     Returns (values, gradients): values is (M, T); gradients is (M, T, 3),
     the trilinearly interpolated precomputed gradient stack, or None when
-    with_gradients is false. Gradient samples gather whole rows of the
-    channel-last block; a gradient-free sample (the eval path) of a field
-    whose block is not built reads `values` alone and never builds it.
+    with_gradients is false. A gradient-free sample (the eval path) of a
+    field whose block is not built reads `values` alone and never builds it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    t, r = field.channel_count, field.resolution
-    if with_gradients:
-        field.gradients  # builds the block on first use
-    if field._block is None:
-        table = field.values.reshape(t, r**3).T
-    else:
-        table = field._block.reshape(r**3, 4 * t)
-        if not with_gradients:
-            table = table[:, :t]
-    rows = _trilinear(table, r, points)
+    t = field.channel_count
+    index, weights = trilinear_corners(points, field.resolution)
+    rows = interpolate(gather_corners(field, index, with_gradients),
+                       weights[..., None])
     if not with_gradients:
         return rows, None
     return rows[:, :t], rows[:, t:].reshape(-1, t, 3)

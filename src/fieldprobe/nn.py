@@ -302,19 +302,36 @@ def block_error(analytic, numeric):
     return float((np.abs(analytic - numeric) / denom).max())
 
 
+def numeric_gradient(loss, values, step):
+    """Central finite differences of the scalar `loss()` with respect to
+    every entry of the array `values`, probed `step` either side. Each
+    entry is perturbed in place and restored, so `loss` must read `values`
+    itself. Returns a float64 array of the shape of `values`."""
+    numeric = np.zeros(values.shape, dtype=np.float64)
+    for i in np.ndindex(values.shape):
+        keep = values[i]
+        values[i] = keep + step
+        hi = loss()
+        values[i] = keep - step
+        lo = loss()
+        values[i] = keep
+        numeric[i] = (hi - lo) / (2.0 * step)
+    return numeric
+
+
 def grad_check(fragment, x, labels=None, step=1e-4, seed=0):
     """Compare a fragment's analytic gradients against central finite
-    differences, in double precision, returning {block name: max rel error}.
+    differences (`numeric_gradient`, probe step `step`), returning
+    {block name: max rel error}.
 
-    The fragment provides params() / forward / backward. When labels are
-    given the loss is the fragment's softmax cross-entropy; otherwise a fixed
-    random projection of the output, which exercises every output entry. The
-    probe step is `step` scaled by each entry's magnitude (at least `step`).
-    Stochastic layers must be given the same generator stream on every call,
-    which this harness guarantees by reseeding per evaluation.
+    The fragment provides params() / forward / backward, and its forward
+    takes `x` as given (a list of fields for a probing layer). When labels
+    are given the loss is the fragment's softmax cross-entropy; otherwise a
+    fixed random projection of the output, which exercises every output
+    entry. Stochastic layers must be given the same generator stream on
+    every call, which this harness guarantees by reseeding per evaluation.
     """
     rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=np.float64)
     out = fragment.forward(x, train=True, rng=np.random.default_rng(seed + 1))
     projection = rng.standard_normal(out.shape)
 
@@ -335,17 +352,6 @@ def grad_check(fragment, x, labels=None, step=1e-4, seed=0):
     report = {}
     for p in fragment.params():
         analytic = p.grad.astype(np.float64).copy()
-        numeric = np.zeros_like(analytic)
-        flat_v = p.values.reshape(-1)
-        flat_n = numeric.reshape(-1)
-        for i in range(flat_v.size):
-            keep = flat_v[i]
-            h = step * max(1.0, abs(float(keep)))
-            flat_v[i] = keep + h
-            hi = loss()
-            flat_v[i] = keep - h
-            lo = loss()
-            flat_v[i] = keep
-            flat_n[i] = (hi - lo) / (2 * h)
+        numeric = numeric_gradient(loss, p.values, step)
         report[p.name or f"block{len(report)}"] = block_error(analytic, numeric)
     return report

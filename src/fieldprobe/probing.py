@@ -2,6 +2,10 @@
 sense a 3D field, squash distance readings through a Gaussian, and reduce to
 one scalar per filter via a trainable dot product.
 
+`ProbingLayer` is the one implementation a network runs. Its stages,
+`sensor_*`, `gaussian_*` and `dotproduct_*`, take a leading batch axis, so
+the isolated gradient checks test the code that training runs.
+
 Both the point locations and the dot-product weights are trainable. Location
 gradients flow through the sampled field's spatial gradients ("the gradients
 computed from the input fields are the forces that push the probing points").
@@ -16,9 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ROLE_DISTANCE, Field3D, sample_field
+from .field import ROLE_DISTANCE, gather_corners, interpolate, trilinear_corners
+from .nn import Tensor
 
 INIT_REDRAW_LIMIT = 100
+
+# Learning-rate multiplier for the probing locations. They live in voxel
+# units (0 to R-1) while weights are unit-scale, so at the shared rate the
+# points barely move (0.05 voxels over a stock desk run). Chosen by a
+# sweep over training seeds on the acceptance dataset (README, "Why
+# probing locations take a larger step").
+LOCATION_RATE = 100.0
 
 
 @dataclass(frozen=True)
@@ -150,36 +162,49 @@ def init_filter_bank(
 
 @dataclass
 class SensorOutput:
-    """Per-sample probe readings: values (C, N, T) and the field's spatial
-    gradients at the probed locations (C, N, T, 3), kept for backward."""
+    """Probe readings of a batch of B fields: values (B, C, N, T) and the
+    fields' spatial gradients at the probed locations (B, C, N, T, 3), or
+    None when read without gradients, kept for backward."""
 
     values: np.ndarray
     gradients: np.ndarray
 
 
-def sensor_forward(bank: FilterBank, field: Field3D, with_gradients=True) -> SensorOutput:
-    """Read the field at every probing point. Skipping gradients saves three
-    quarters of the gather work on gradient-free (eval) passes."""
-    if field.resolution != bank.resolution:
-        raise ValueError(
-            f"field resolution {field.resolution} does not match bank {bank.resolution}"
-        )
-    if field.channel_count != bank.channel_count:
-        raise ValueError(
-            f"field has {field.channel_count} channels, bank expects {bank.channel_count}"
-        )
-    c, n = bank.filter_count, bank.points_per_filter
-    values, gradients = sample_field(
-        field, bank.locations.reshape(c * n, 3), with_gradients=with_gradients
-    )
-    if gradients is not None:
-        gradients = gradients.reshape(c, n, field.channel_count, 3)
-    return SensorOutput(values.reshape(c, n, -1), gradients)
+def sensor_forward(bank: FilterBank, fields, with_gradients=True) -> SensorOutput:
+    """Read every field of a batch at every probing point. The points are
+    shared by the batch, so their cell corners and trilinear weights are
+    computed once and each field costs one gather of its corner rows;
+    without gradients (eval, frozen banks) it gathers value rows only."""
+    if not fields:
+        raise ValueError("a probing batch needs at least one field")
+    for field in fields:
+        if field.resolution != bank.resolution:
+            raise ValueError(
+                f"field resolution {field.resolution} does not match bank {bank.resolution}"
+            )
+        if field.channel_count != bank.channel_count:
+            raise ValueError(
+                f"field has {field.channel_count} channels, bank expects {bank.channel_count}"
+            )
+        if not np.array_equal(field.roles, fields[0].roles):
+            raise ValueError("fields in one batch must share their channel roles")
+    c, n, t = bank.filter_count, bank.points_per_filter, bank.channel_count
+    index, weights = trilinear_corners(bank.locations.reshape(c * n, 3), bank.resolution)
+    width = 4 * t if with_gradients else t
+    # full-width weights keep the interpolation's inner loops long
+    weights = np.repeat(weights[..., None], width, axis=2)
+    rows = np.empty((len(fields), c * n, width), dtype=np.float64)
+    for field, out in zip(fields, rows):
+        interpolate(gather_corners(field, index, with_gradients), weights, out=out)
+    values = rows[..., :t].reshape(-1, c, n, t)
+    gradients = rows[..., t:].reshape(-1, c, n, t, 3) if with_gradients else None
+    return SensorOutput(values, gradients)
 
 
 def sensor_backward(bank: FilterBank, cache: SensorOutput, upstream) -> None:
     """Accumulate location gradients: the chain rule routes each channel's
-    upstream gradient through the field gradient sampled at that point."""
+    upstream gradient through the field gradient sampled at that point,
+    summed over the batch."""
     if cache is None:
         raise RuntimeError("sensor backward called before forward")
     if cache.gradients is None:
@@ -187,12 +212,12 @@ def sensor_backward(bank: FilterBank, cache: SensorOutput, upstream) -> None:
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache.values.shape:
         raise ValueError(f"upstream {upstream.shape} does not match {cache.values.shape}")
-    bank.location_gradients += np.einsum("cnt,cntk->cnk", upstream, cache.gradients)
+    bank.location_gradients += np.einsum("bcnt,bcntk->cnk", upstream, cache.gradients)
 
 
 def gaussian_forward(values, sigma):
-    """Element-wise bell curve exp(-x^2 / (2 sigma^2)): reads near a surface
-    map to ~1, far reads decay toward 0."""
+    """Element-wise bell curve exp(-x^2 / (2 sigma^2)) over any shape: reads
+    near a surface map to ~1, far reads decay toward 0."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     values = np.asarray(values, dtype=np.float64)
@@ -205,26 +230,32 @@ def gaussian_backward(values, upstream, sigma):
     return np.asarray(upstream) * (-values / sigma**2) * gaussian_forward(values, sigma)
 
 
+def _check_batch_values(bank: FilterBank, values):
+    if values.ndim != 4 or values.shape[1:] != bank.weights.shape:
+        raise ValueError(
+            f"values {values.shape} do not match (B,) + weights {bank.weights.shape}"
+        )
+
+
 def dotproduct_forward(bank: FilterBank, values) -> np.ndarray:
-    """Per-filter dot product v_c = sum_{n,t} values * weights; filters never
-    mix and weights are not shared between them."""
+    """Per-filter dot products of a batch, (B, C): v_bc = sum_{n,t}
+    values_bcnt * weights_cnt; filters never mix and weights are not
+    shared between them."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != bank.weights.shape:
-        raise ValueError(f"values {values.shape} do not match weights {bank.weights.shape}")
-    return np.einsum("cnt,cnt->c", values, bank.weights)
+    _check_batch_values(bank, values)
+    return np.einsum("bcnt,cnt->bc", values, bank.weights)
 
 
 def dotproduct_backward(bank: FilterBank, values, upstream) -> np.ndarray:
-    """Returns input gradients (upstream_c * w) and accumulates weight
-    gradients (upstream_c * values)."""
+    """Returns input gradients (upstream_bc * w) and accumulates weight
+    gradients (upstream_bc * values, summed over the batch)."""
     values = np.asarray(values, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if values.shape != bank.weights.shape:
-        raise ValueError(f"values {values.shape} do not match weights {bank.weights.shape}")
-    if upstream.shape != (bank.filter_count,):
-        raise ValueError(f"upstream must be ({bank.filter_count},), got {upstream.shape}")
-    bank.weight_gradients += upstream[:, None, None] * values
-    return upstream[:, None, None] * bank.weights
+    _check_batch_values(bank, values)
+    if upstream.shape != values.shape[:2]:
+        raise ValueError(f"upstream {upstream.shape} does not match the batch {values.shape[:2]}")
+    bank.weight_gradients += np.einsum("bc,bcnt->cnt", upstream, values)
+    return upstream[:, :, None, None] * bank.weights
 
 
 def mac_count(bank: FilterBank) -> int:
@@ -233,35 +264,56 @@ def mac_count(bank: FilterBank) -> int:
     return bank.filter_count * bank.points_per_filter * bank.channel_count
 
 
-class ProbingPipeline:
-    """The composed probing block: Sensor, then Gaussian on distance-role
-    channels only (normal components are already in [-1, 1]), then
-    DotProduct. One backward per forward; backward without a pending forward
-    is a contract violation.
+class ProbingLayer:
+    """A list of B fields in, a (B, C) activation matrix out: Sensor, then
+    Gaussian on distance-role channels only (normal components are already
+    in [-1, 1]), then DotProduct. Owns the filter bank and exposes its
+    arrays as optimizer tensors sharing the same storage. A frozen layer
+    has no parameters and reads no field gradients.
     """
 
-    def __init__(self, bank: FilterBank, sigma: float):
+    def __init__(self, bank: FilterBank, sigma, name="probing", frozen=False):
         if sigma <= 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.bank = bank
         self.sigma = float(sigma)
+        self.name = name
+        self.frozen = bool(frozen)
+        self.locations = Tensor(bank.locations, grad=bank.location_gradients,
+                                name=name + ".locations", decay=False,
+                                rate=LOCATION_RATE)
+        self.weights = Tensor(bank.weights, grad=bank.weight_gradients,
+                              name=name + ".weights", decay=True)
         self._cache = None
 
-    def forward(self, field: Field3D, with_gradients=True) -> np.ndarray:
-        sensor = sensor_forward(self.bank, field, with_gradients=with_gradients)
-        mask = field.roles == ROLE_DISTANCE
+    def params(self):
+        return [] if self.frozen else [self.locations, self.weights]
+
+    def state(self):
+        """Frozen banks still belong in checkpoints; trainable ones are
+        already covered through params()."""
+        if not self.frozen:
+            return {}
+        return {self.locations.name: self.locations.values,
+                self.weights.name: self.weights.values}
+
+    def forward(self, fields, train=False, rng=None):
+        track = train and not self.frozen
+        sensor = sensor_forward(self.bank, fields, with_gradients=track)
+        mask = fields[0].roles == ROLE_DISTANCE
         squashed = sensor.values.copy()
-        squashed[:, :, mask] = gaussian_forward(sensor.values[:, :, mask], self.sigma)
-        self._cache = (sensor, mask, squashed) if with_gradients else None
+        squashed[..., mask] = gaussian_forward(sensor.values[..., mask], self.sigma)
+        self._cache = (sensor, mask, squashed) if track else None
         return dotproduct_forward(self.bank, squashed)
 
-    def backward(self, upstream) -> None:
+    def backward(self, upstream):
+        if self.frozen:
+            return None
         if self._cache is None:
-            raise RuntimeError("probing backward called before forward")
-        sensor, mask, squashed = self._cache
-        self._cache = None
+            raise RuntimeError("probing backward without a training forward")
+        (sensor, mask, squashed), self._cache = self._cache, None
         grads = dotproduct_backward(self.bank, squashed, upstream)
-        grads[:, :, mask] = gaussian_backward(
-            sensor.values[:, :, mask], grads[:, :, mask], self.sigma
-        )
+        grads[..., mask] = gaussian_backward(sensor.values[..., mask],
+                                             grads[..., mask], self.sigma)
         sensor_backward(self.bank, sensor, grads)
+        return None

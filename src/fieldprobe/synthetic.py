@@ -6,6 +6,7 @@ train/test manifests that ``fieldprobe.trainer`` consumes directly.  Every sampl
 by a generator seeded from ``(seed, split, class, index)``, so a spec
 with the same seed always yields byte-identical files and the train and
 test splits never share a sample.
+`multilinear_field` is the exact oracle of the sampler and probing tests.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import numpy as np
 
 from .errors import ParseError
+from .field import Field3D
 from .ingest import ShapeSample, write_off
 
 CLASS_NAMES = ("sphere", "box", "cylinder", "torus", "cone")
@@ -281,3 +283,29 @@ def generate_synthetic(spec, out_dir):
             handle.write("\n".join(lines) + "\n")
         manifests[split] = path
     return manifests["train"], manifests["test"]
+
+
+def multilinear_field(rng, resolution, roles):
+    """A random field with one channel per role code, each channel
+    a + bx + cy + dz + exy + fxz + gyz + hxyz, and its evaluator from (M, 3)
+    points to (channels, M) values. Trilinear sampling reproduces this
+    family exactly and its lattice gradients are exact, so finite
+    differences through sampling are a faithful oracle. Coefficients are
+    scaled by powers of R-1 so each term stays O(1) on the grid."""
+    span = resolution - 1.0
+    scales = np.array([1.0, span, span, span,
+                       span ** 2, span ** 2, span ** 2, span ** 3])
+    coeffs = rng.standard_normal((len(roles), 8)) / scales
+
+    def evaluate(points):
+        p = np.asarray(points, dtype=np.float64)
+        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        terms = np.stack([np.ones_like(x), x, y, z,
+                          x * y, x * z, y * z, x * y * z])
+        return coeffs @ terms
+
+    grid = np.arange(resolution, dtype=np.float64)
+    zz, yy, xx = np.meshgrid(grid, grid, grid, indexing="ij")
+    points = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    values = evaluate(points).reshape((len(roles),) + (resolution,) * 3)
+    return Field3D(values, roles), evaluate

@@ -49,22 +49,11 @@ from .nn import (
     ReLU,
     Sgd,
     SgdConfig,
-    Tensor,
-    block_error,
     grad_check,
     softmax_cross_entropy,
 )
-from .probing import (
-    FilterBank,
-    InitConfig,
-    dotproduct_backward,
-    dotproduct_forward,
-    gaussian_backward,
-    gaussian_forward,
-    init_filter_bank,
-    sensor_backward,
-    sensor_forward,
-)
+from .probing import FilterBank, InitConfig, ProbingLayer, init_filter_bank
+from .synthetic import multilinear_field
 
 # Fixed seed for evaluation-time perturbations: eval views must not depend
 # on how far training has advanced the master stream.
@@ -78,13 +67,6 @@ CHECKPOINT_MAGIC = b"FPCK"
 CHECKPOINT_VERSION = 1
 
 METRICS_HEADER = "iteration,loss,train_acc,eval_acc,wall_ms"
-
-# Learning-rate multiplier for the probing locations. They live in voxel
-# units (0 to R-1) while weights are unit-scale, so at the shared rate the
-# points barely move (0.05 voxels over a stock desk run). Chosen by a
-# sweep over training seeds on the acceptance dataset (README, "Acceptance
-# status").
-LOCATION_RATE = 100.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -361,71 +343,6 @@ class FieldCache:
             return field
 
 
-class ProbingBlock:
-    """Batch adapter around the probing layers: a list of per-sample fields
-    in, a (batch, filter_count) activation matrix out. Owns the filter bank
-    and exposes its arrays as optimizer tensors sharing the same storage.
-    """
-
-    def __init__(self, bank: FilterBank, sigma, name="probing", frozen=False):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive, got %r" % sigma)
-        self.bank = bank
-        self.sigma = float(sigma)
-        self.name = name
-        self.frozen = bool(frozen)
-        self.locations = Tensor(bank.locations, grad=bank.location_gradients,
-                                name=name + ".locations", decay=False,
-                                rate=LOCATION_RATE)
-        self.weights = Tensor(bank.weights, grad=bank.weight_gradients,
-                              name=name + ".weights", decay=True)
-        self._caches = None
-
-    def params(self):
-        return [] if self.frozen else [self.locations, self.weights]
-
-    def state(self):
-        """Frozen banks still belong in checkpoints; trainable ones are
-        already covered through params()."""
-        if not self.frozen:
-            return {}
-        return {self.locations.name: self.locations.values,
-                self.weights.name: self.weights.values}
-
-    def forward(self, fields, train=False, rng=None):
-        track = train and not self.frozen
-        out = np.empty((len(fields), self.bank.filter_count), dtype=np.float64)
-        caches = [] if track else None
-        for row, field in enumerate(fields):
-            sensor = sensor_forward(self.bank, field, with_gradients=track)
-            mask = field.roles == ROLE_DISTANCE
-            squashed = sensor.values.copy()
-            squashed[:, :, mask] = gaussian_forward(sensor.values[:, :, mask],
-                                                    self.sigma)
-            out[row] = dotproduct_forward(self.bank, squashed)
-            if track:
-                caches.append((sensor, mask, squashed))
-        self._caches = caches
-        return out
-
-    def backward(self, upstream):
-        if self.frozen:
-            return None
-        if self._caches is None:
-            raise RuntimeError("probing backward without a training forward")
-        caches, self._caches = self._caches, None
-        upstream = np.asarray(upstream, dtype=np.float64)
-        if upstream.shape != (len(caches), self.bank.filter_count):
-            raise ValueError("upstream shape %s does not match the forward batch"
-                             % (upstream.shape,))
-        for (sensor, mask, squashed), row in zip(caches, upstream):
-            grads = dotproduct_backward(self.bank, squashed, row)
-            grads[:, :, mask] = gaussian_backward(sensor.values[:, :, mask],
-                                                  grads[:, :, mask], self.sigma)
-            sensor_backward(self.bank, sensor, grads)
-        return None
-
-
 def build_model(cfg: TrainConfig):
     """Assemble (network, bank, probing block) for a resolved config."""
     if cfg.classes < 2:
@@ -433,7 +350,7 @@ def build_model(cfg: TrainConfig):
                          "(train once or set classes explicitly)")
     bank = init_filter_bank(cfg.init_config, cfg.resolution,
                             channel_count=cfg.channel_count, dtype=np.float32)
-    probing = ProbingBlock(bank, cfg.effective_sigma, frozen=cfg.freeze_probing)
+    probing = ProbingLayer(bank, cfg.effective_sigma, frozen=cfg.freeze_probing)
     width = bank.filter_count
     rng = np.random.default_rng(cfg.init_seed + 1)
     layers = [probing, BatchNorm(width, name="bn_in"), ReLU(name="relu_in")]
@@ -893,57 +810,6 @@ def extract_features(checkpoint_path, manifest_path, out_path, cache_dir=""):
     return out_path
 
 
-def _random_multilinear_field(rng, resolution, channels):
-    """Random per-axis-linear channels: the one family where the sampler's
-    precomputed gradients equal the true field gradient everywhere, making
-    finite differences a faithful oracle for the probing layers."""
-    grid = np.arange(resolution, dtype=np.float64)
-    z, y, x = np.meshgrid(grid, grid, grid, indexing="ij")
-    span = resolution - 1.0
-    terms = [np.ones_like(x), x, y, z, x * y, x * z, y * z, x * y * z]
-    scales = [1.0, span, span, span, span ** 2, span ** 2, span ** 2, span ** 3]
-    values = np.empty((channels, resolution, resolution, resolution))
-    for c in range(channels):
-        coeff = rng.standard_normal(8)
-        values[c] = sum(k / s * t for k, s, t in zip(coeff, scales, terms))
-    roles = np.full(channels, ROLE_GENERIC, dtype=np.uint8)
-    roles[0] = ROLE_DISTANCE
-    return Field3D(values, roles)
-
-
-def _probing_gradient_error(seed=0):
-    rng = np.random.default_rng(seed)
-    resolution = 8
-    field = _random_multilinear_field(rng, resolution, channels=2)
-    bank = FilterBank(rng.uniform(0.5, resolution - 1.5, size=(3, 4, 3)),
-                      rng.standard_normal((3, 4, 2)), resolution)
-    block = ProbingBlock(bank, sigma=1.5)
-    projection = rng.standard_normal((1, bank.filter_count))
-
-    def loss():
-        return float((block.forward([field], train=True) * projection).sum())
-
-    bank.zero_gradients()
-    block.forward([field], train=True)
-    block.backward(projection)
-    worst = 0.0
-    for values, analytic in ((bank.locations, bank.location_gradients.copy()),
-                             (bank.weights, bank.weight_gradients.copy())):
-        numeric = np.zeros_like(analytic)
-        flat_v = values.reshape(-1)
-        flat_n = numeric.reshape(-1)
-        for i in range(flat_v.size):
-            keep = flat_v[i]
-            flat_v[i] = keep + 1e-4
-            hi = loss()
-            flat_v[i] = keep - 1e-4
-            lo = loss()
-            flat_v[i] = keep
-            flat_n[i] = (hi - lo) / 2e-4
-        worst = max(worst, block_error(analytic, numeric))
-    return worst
-
-
 def gradient_check_report(layer=None, seed=0):
     """Finite-difference audit of each layer kind, {name: max rel error}.
 
@@ -989,12 +855,22 @@ def gradient_check_report(layer=None, seed=0):
                 break
         return grad_check(net, x, labels=labels)
 
+    def probing_check(rng):
+        # multilinear fields make finite differences through the sampler
+        # exact; the first channel is a distance, so the Gaussian is audited
+        resolution = 8
+        fields = [multilinear_field(rng, resolution,
+                                    [ROLE_DISTANCE, ROLE_GENERIC])[0]]
+        bank = FilterBank(rng.uniform(0.5, resolution - 1.5, size=(3, 4, 3)),
+                          rng.standard_normal((3, 4, 2)), resolution)
+        return grad_check(Network([ProbingLayer(bank, sigma=1.5)]), fields)
+
     recipes = {
         "fc": fc_check,
         "bn": bn_check,
         "dropout": dropout_check,
         "composed": composed_check,
-        "probing": lambda rng: {"probing": _probing_gradient_error(seed)},
+        "probing": probing_check,
     }
     if layer is not None:
         if layer not in recipes:

@@ -35,10 +35,12 @@ from fieldprobe.nn import (
     ReLU,
     block_error,
     grad_check,
+    numeric_gradient,
     softmax_cross_entropy,
 )
 from fieldprobe.probing import (
     FilterBank,
+    ProbingLayer,
     dotproduct_backward,
     dotproduct_forward,
     gaussian_backward,
@@ -46,9 +48,12 @@ from fieldprobe.probing import (
     sensor_backward,
     sensor_forward,
 )
-from fieldprobe.synthetic import SyntheticSpec, generate_synthetic
+from fieldprobe.synthetic import (
+    SyntheticSpec,
+    generate_synthetic,
+    multilinear_field,
+)
 from fieldprobe.trainer import (
-    ProbingBlock,
     TrainConfig,
     build_field,
     evaluate_checkpoint,
@@ -62,6 +67,7 @@ from fieldprobe.trainer import (
 TOL_ISOLATED = 1e-5
 TOL_COMPOSED = 1e-4
 INSTANCES = 100
+FD_STEP = 1e-5
 
 # the dataset hardness the reference runs train on: enough orientation
 # and proportion variation that probing placement genuinely matters
@@ -72,69 +78,23 @@ JITTER = 0.4
 # finite-difference harness
 
 
-def _multilinear(rng, resolution, channels, distance_first=False):
-    """Random per-axis-linear field plus an evaluator for exact values.
-
-    Per-axis-linear functions are reproduced exactly by the trilinear
-    sampler, and their lattice gradients are exact central differences,
-    so finite differences form a faithful oracle for the probing layers.
-    """
-    span = resolution - 1.0
-    scales = np.array([1.0, span, span, span,
-                       span ** 2, span ** 2, span ** 2, span ** 3])
-    coeffs = rng.standard_normal((channels, 8)) / scales
-
-    def evaluate(points):
-        p = np.asarray(points, dtype=np.float64)
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        terms = np.stack([np.ones_like(x), x, y, z,
-                          x * y, x * z, y * z, x * y * z])
-        return coeffs @ terms
-
-    grid = np.arange(resolution, dtype=np.float64)
-    zz, yy, xx = np.meshgrid(grid, grid, grid, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    values = evaluate(pts).reshape(channels, resolution, resolution,
-                                   resolution)
-    roles = np.full(channels, ROLE_GENERIC, dtype=np.uint8)
-    if distance_first:
-        roles[0] = ROLE_DISTANCE
-    return Field3D(values, roles), evaluate
-
-
-def _fd(values, loss, step=1e-5):
-    """Central finite differences of a scalar loss over every entry of
-    `values`, mutating it in place and restoring each entry."""
-    numeric = np.zeros(values.shape, dtype=np.float64)
-    flat_v = values.reshape(-1)
-    flat_n = numeric.reshape(-1)
-    for i in range(flat_v.size):
-        keep = flat_v[i]
-        flat_v[i] = keep + step
-        hi = loss()
-        flat_v[i] = keep - step
-        lo = loss()
-        flat_v[i] = keep
-        flat_n[i] = (hi - lo) / (2.0 * step)
-    return numeric
-
-
 def _sensor_error(seed):
     rng = np.random.default_rng(seed)
     res = 6
-    field, _ = _multilinear(rng, res, channels=2)
+    fields = [multilinear_field(rng, res, [ROLE_GENERIC] * 2)[0]]
     bank = FilterBank(rng.uniform(0.5, res - 1.5, size=(2, 3, 3)),
                       rng.standard_normal((2, 3, 2)), res)
-    proj = rng.standard_normal((2, 3, 2))
+    proj = rng.standard_normal((1, 2, 3, 2))
 
     def loss():
-        values = sensor_forward(bank, field, with_gradients=False).values
+        values = sensor_forward(bank, fields, with_gradients=False).values
         return float((values * proj).sum())
 
     bank.zero_gradients()
-    out = sensor_forward(bank, field, with_gradients=True)
+    out = sensor_forward(bank, fields, with_gradients=True)
     sensor_backward(bank, out, proj)
-    return block_error(bank.location_gradients, _fd(bank.locations, loss))
+    return block_error(bank.location_gradients,
+                       numeric_gradient(loss, bank.locations, FD_STEP))
 
 
 def _gaussian_error(seed):
@@ -147,7 +107,8 @@ def _gaussian_error(seed):
         return float((gaussian_forward(x, sigma) * proj).sum())
 
     analytic = gaussian_backward(x, proj, sigma)
-    return block_error(analytic, _fd(x, loss, step=1e-6 * max(1.0, sigma)))
+    return block_error(analytic,
+                       numeric_gradient(loss, x, 1e-6 * max(1.0, sigma)))
 
 
 def _dotproduct_error(seed):
@@ -155,16 +116,18 @@ def _dotproduct_error(seed):
     res = 8
     bank = FilterBank(rng.uniform(1.0, res - 2.0, size=(3, 4, 3)),
                       rng.standard_normal((3, 4, 2)), res)
-    values = rng.standard_normal((3, 4, 2))
-    proj = rng.standard_normal(3)
+    values = rng.standard_normal((1, 3, 4, 2))
+    proj = rng.standard_normal((1, 3))
 
     def loss():
         return float((dotproduct_forward(bank, values) * proj).sum())
 
     bank.zero_gradients()
     value_grads = dotproduct_backward(bank, values, proj)
-    err_weights = block_error(bank.weight_gradients, _fd(bank.weights, loss))
-    err_values = block_error(value_grads, _fd(values, loss))
+    err_weights = block_error(bank.weight_gradients,
+                              numeric_gradient(loss, bank.weights, FD_STEP))
+    err_values = block_error(value_grads,
+                             numeric_gradient(loss, values, FD_STEP))
     return max(err_weights, err_values)
 
 
@@ -189,7 +152,7 @@ def _batchnorm_error(seed):
 
     net.forward(x, train=True)
     dx = net.backward(proj)
-    return max(worst, block_error(dx, _fd(x, loss)))
+    return max(worst, block_error(dx, numeric_gradient(loss, x, FD_STEP)))
 
 
 def _relu_error(seed):
@@ -203,7 +166,8 @@ def _relu_error(seed):
         return float((layer.forward(x, train=True) * proj).sum())
 
     layer.forward(x, train=True)
-    return block_error(layer.backward(proj), _fd(x, loss))
+    return block_error(layer.backward(proj),
+                       numeric_gradient(loss, x, FD_STEP))
 
 
 def _dropout_mask_error(seed):
@@ -217,7 +181,8 @@ def _dropout_mask_error(seed):
         return float((out * proj).sum())
 
     layer.forward(x, train=True, rng=np.random.default_rng(seed + 1))
-    return block_error(layer.backward(proj), _fd(x, loss))
+    return block_error(layer.backward(proj),
+                       numeric_gradient(loss, x, FD_STEP))
 
 
 def _softmax_ce_error(seed):
@@ -229,7 +194,8 @@ def _softmax_ce_error(seed):
         return float(softmax_cross_entropy(logits, labels)[0])
 
     analytic = softmax_cross_entropy(logits, labels)[1]
-    return block_error(analytic, _fd(logits, loss))
+    return block_error(analytic,
+                       numeric_gradient(loss, logits, FD_STEP))
 
 
 def _composed_error(seed):
@@ -238,36 +204,25 @@ def _composed_error(seed):
     rng = np.random.default_rng(seed)
     res = 6
     for _ in range(64):
-        fields = [_multilinear(rng, res, 2, distance_first=True)[0]
+        fields = [multilinear_field(rng, res,
+                                    [ROLE_DISTANCE, ROLE_GENERIC])[0]
                   for _ in range(3)]
         bank = FilterBank(rng.uniform(0.5, res - 1.5, size=(4, 3, 3)),
                           rng.standard_normal((4, 3, 2)), res)
-        block = ProbingBlock(bank, sigma=1.2)
-        net = Network([block,
+        layer = ProbingLayer(bank, sigma=1.2)
+        net = Network([layer,
                        BatchNorm(4, name="bn", dtype=np.float64),
                        ReLU(name="relu"),
                        FullyConnected(4, 3, rng, name="fc",
                                       dtype=np.float64)])
         labels = rng.integers(0, 3, size=3)
-        acts = block.forward(fields, train=True)
+        acts = layer.forward(fields, train=True)
         pre = net.layers[1].forward(acts, train=True)
         # redraw until every pre-activation clears the ReLU kink by far
         # more than the probe step and no channel is batch-degenerate
         if np.abs(pre).min() >= 3e-2 and acts.std(axis=0).min() >= 0.05:
             break
-
-    def loss():
-        logits = net.forward(fields, train=True)
-        return float(softmax_cross_entropy(logits, labels)[0])
-
-    for p in net.params():
-        p.zero_grad()
-    logits = net.forward(fields, train=True)
-    net.backward(softmax_cross_entropy(logits, labels)[1])
-    worst = 0.0
-    for p in net.params():
-        worst = max(worst, block_error(p.grad, _fd(p.values, loss)))
-    return worst
+    return max(grad_check(net, fields, labels=labels, step=FD_STEP).values())
 
 
 # --------------------------------------------------------------------------
@@ -409,7 +364,7 @@ def test_a3_trilinear_exactness(acceptance):
     worst_ulps = 0.0
     for _ in range(10):
         res = int(rng.integers(5, 10))
-        field, evaluate = _multilinear(rng, res, channels=2)
+        field, evaluate = multilinear_field(rng, res, [ROLE_GENERIC] * 2)
         pts = rng.uniform(0.0, res - 1.0, size=(1000, 3))
         got, _ = sample_field(field, pts, with_gradients=False)
         want = evaluate(pts).T

@@ -1,8 +1,12 @@
 """Tests for the probing-vs-convolution cost benchmark."""
 
+import itertools
+import types
+
 import numpy as np
 import pytest
 
+from fieldprobe import bench
 from fieldprobe.bench import (BENCH_HEADER, BenchReport, BenchRow, ConvConfig,
                               conv3d_reference, run_bench)
 from fieldprobe.probing import InitConfig
@@ -222,6 +226,32 @@ class TestRunBench:
         assert kinds == {"probing@2", "conv@2"}
         for row in report.rows:
             assert row.mean_ms > 0.0
+
+    def test_every_resolution_runs_before_timing(self, monkeypatch):
+        # the first row timed on a cold heap reads slow, so no sample may
+        # be taken before every resolution's kernels have run
+        events = []
+        ticks = itertools.count()
+
+        def clock():
+            events.append("clock")
+            return next(ticks) * 1e-3
+
+        def kernel(tag, resolution):
+            def once():
+                events.append((tag, resolution))
+            return once
+
+        monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=clock))
+        monkeypatch.setattr(bench, "_probing_setup",
+                            lambda init, r, t, rng: (kernel("probing", r), 1, 1))
+        monkeypatch.setattr(bench, "_conv_setup",
+                            lambda cfg, r, rng: (kernel("conv", r), 1, 1))
+        report = tiny_bench(resolutions=[8, 12, 16])
+        assert {row.resolution for row in report.rows} == {8, 12, 16}
+        first = events.index("clock")
+        assert set(events[:first]) == {(kind, r) for kind in ("probing", "conv")
+                                       for r in (8, 12, 16)}
 
     def test_csv_layout(self, report, tmp_path):
         path = report.to_csv(tmp_path / "bench.csv")

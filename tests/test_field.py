@@ -1,5 +1,7 @@
 """Distance transform, normal field, trilinear sampling, and field io tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,27 @@ class TestSampling:
         np.testing.assert_array_equal(g32, g64)
         np.testing.assert_array_equal(v32, before)
         np.testing.assert_array_equal(sample_field(narrow, pts, with_gradients=False)[0], before)
+
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    @pytest.mark.parametrize("built", [False, True])
+    def test_gradient_free_sample_copies_no_channel(self, channels, built):
+        # np.take copies a strided table whole before gathering; a sample
+        # of 512 points must cost its rows, not one R^3 channel
+        r = 64
+        rng = np.random.default_rng(79)
+        vals = rng.standard_normal((channels, r, r, r)).astype(np.float32)
+        fld = Field3D(vals, [ROLE_DISTANCE] + [ROLE_GENERIC] * (channels - 1))
+        if built:
+            fld.gradients
+        pts = rng.uniform(0.0, r - 1.0, size=(512, 3))
+        tracemalloc.start()
+        try:
+            sample_field(fld, pts, with_gradients=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < r**3 * 4, f"peak {peak} bytes"
 
 
 class TestFieldIo:

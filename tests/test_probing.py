@@ -1,17 +1,19 @@
 """Probing-layer tests: initialization geometry, each stage's forward and
-backward against hand values and finite differences, and the composition."""
+backward over a batch against hand values and finite differences, and the
+composed layer."""
 
 import math
 
 import numpy as np
 import pytest
 
+from fieldprobe import probing
 from fieldprobe.field import ROLE_DISTANCE, ROLE_GENERIC, Field3D
+from fieldprobe.nn import block_error, numeric_gradient
 from fieldprobe.probing import (
     FilterBank,
     InitConfig,
-    ProbingPipeline,
-    SensorOutput,
+    ProbingLayer,
     dotproduct_backward,
     dotproduct_forward,
     gaussian_backward,
@@ -21,25 +23,13 @@ from fieldprobe.probing import (
     sensor_backward,
     sensor_forward,
 )
+from fieldprobe.synthetic import multilinear_field
+
+FD_STEP = 1e-4
 
 
-def multilinear_field(rng, r, roles):
-    """Random per-channel a + bx + cy + dz + exy + fxz + gyz + hxyz fields.
-    Interpolation reproduces this family exactly and the precomputed gradient
-    stack equals the true gradient everywhere, so finite differences of any
-    loss through sampling are trustworthy. Coefficients are scaled so each
-    term stays O(1) over the grid, keeping Gaussian responses out of the
-    deep tail where gradients vanish below finite-difference noise."""
-    z, y, x = np.meshgrid(np.arange(r), np.arange(r), np.arange(r), indexing="ij")
-    span = float(r - 1)
-    scale = np.array([1, span, span, span, span**2, span**2, span**2, span**3])
-    chans = []
-    coefs = []
-    for _ in roles:
-        a, b, c, d, e, f, g, h = rng.uniform(-1, 1, size=8) / scale
-        chans.append(a + b * x + c * y + d * z + e * x * y + f * x * z + g * y * z + h * x * y * z)
-        coefs.append((a, b, c, d, e, f, g, h))
-    return Field3D(np.stack(chans).astype(np.float64), roles), coefs
+def generic_field(rng, r=8, channels=1):
+    return multilinear_field(rng, r, [ROLE_GENERIC] * channels)[0]
 
 
 def linear_field(coef_xyz, r, offset=0.0, role=ROLE_GENERIC):
@@ -52,33 +42,6 @@ def small_bank(rng, r=8, c=3, n=4, t=1):
     locs = rng.uniform(0.5, r - 1.5, size=(c, n, 3))
     weights = rng.standard_normal((c, n, t))
     return FilterBank(locs, weights, r)
-
-
-def numeric_grad(loss, arr, h=1e-4):
-    """Central finite differences of a scalar loss w.r.t. every array entry."""
-    grad = np.zeros_like(arr, dtype=np.float64)
-    it = np.nditer(arr, flags=["multi_index"])
-    for _ in it:
-        i = it.multi_index
-        keep = arr[i]
-        arr[i] = keep + h
-        hi_val = loss()
-        arr[i] = keep - h
-        lo_val = loss()
-        arr[i] = keep
-        grad[i] = (hi_val - lo_val) / (2 * h)
-    return grad
-
-
-def rel_err(analytic, numeric):
-    """Element-wise relative error with a floor at 1e-3 of the block's
-    dominant magnitude: entries far below the block scale are compared at
-    that scale instead of amplifying finite-difference noise."""
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    block = max(np.abs(analytic).max(), np.abs(numeric).max())
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-3 * block + 1e-12)
-    return (np.abs(analytic - numeric) / denom).max()
 
 
 class TestInitConfig:
@@ -189,44 +152,70 @@ class TestSensor:
         rng = np.random.default_rng(0)
         bank = small_bank(rng, c=2, n=3)
         fld = Field3D(np.full((1, 8, 8, 8), 4.25), [ROLE_GENERIC])
-        out = sensor_forward(bank, fld)
+        out = sensor_forward(bank, [fld, fld])
+        assert out.values.shape == (2, 2, 3, 1)
         np.testing.assert_allclose(out.values, 4.25, atol=1e-12)
 
     def test_linear_field_hand_value(self):
         fld = linear_field((2.0, 3.0, 5.0), 8)
         locs = np.array([[[1.25, 2.5, 0.75], [1.0, 1.0, 1.0]]])
         bank = FilterBank(locs, np.ones((1, 2, 1)), 8)
-        out = sensor_forward(bank, fld)
-        assert out.values[0, 0, 0] == pytest.approx(13.75, abs=1e-12)
-        assert out.values[0, 1, 0] == pytest.approx(10.0, abs=1e-12)
+        out = sensor_forward(bank, [fld])
+        assert out.values[0, 0, 0, 0] == pytest.approx(13.75, abs=1e-12)
+        assert out.values[0, 0, 1, 0] == pytest.approx(10.0, abs=1e-12)
 
     def test_identical_points_identical_reads(self):
         rng = np.random.default_rng(1)
-        fld, _ = multilinear_field(rng, 8, [ROLE_GENERIC])
+        fld = generic_field(rng)
         loc = rng.uniform(1, 6, size=3)
         bank = FilterBank(np.stack([[loc, loc]]), np.ones((1, 2, 1)), 8)
-        out = sensor_forward(bank, fld)
-        assert out.values[0, 0, 0] == out.values[0, 1, 0]
+        out = sensor_forward(bank, [fld])
+        assert out.values[0, 0, 0, 0] == out.values[0, 0, 1, 0]
+
+    def test_batch_rows_are_the_fields_read_alone(self):
+        rng = np.random.default_rng(22)
+        bank = small_bank(rng, t=2)
+        fields = [generic_field(rng, channels=2) for _ in range(3)]
+        batch = sensor_forward(bank, fields)
+        for row, fld in enumerate(fields):
+            alone = sensor_forward(bank, [fld])
+            np.testing.assert_array_equal(batch.values[row], alone.values[0])
+            np.testing.assert_array_equal(batch.gradients[row], alone.gradients[0])
 
     def test_resolution_mismatch(self):
         rng = np.random.default_rng(2)
         bank = small_bank(rng, r=8)
         fld = Field3D(np.zeros((1, 16, 16, 16)), [ROLE_GENERIC])
         with pytest.raises(ValueError, match="resolution"):
-            sensor_forward(bank, fld)
+            sensor_forward(bank, [fld])
+        with pytest.raises(ValueError, match="resolution"):
+            sensor_forward(bank, [generic_field(rng), fld])
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(3)
         bank = small_bank(rng, t=2)
         fld = Field3D(np.zeros((1, 8, 8, 8)), [ROLE_GENERIC])
         with pytest.raises(ValueError, match="channels"):
-            sensor_forward(bank, fld)
+            sensor_forward(bank, [fld])
+        with pytest.raises(ValueError, match="channels"):
+            sensor_forward(bank, [generic_field(rng, channels=2), fld])
+
+    def test_role_mismatch_within_batch(self):
+        rng = np.random.default_rng(23)
+        bank = small_bank(rng)
+        distance = multilinear_field(rng, 8, [ROLE_DISTANCE])[0]
+        with pytest.raises(ValueError, match="roles"):
+            sensor_forward(bank, [distance, generic_field(rng)])
+
+    def test_empty_batch_rejected(self):
+        bank = small_bank(np.random.default_rng(24))
+        with pytest.raises(ValueError, match="at least one field"):
+            sensor_forward(bank, [])
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(4)
         bank = small_bank(rng)
-        fld, _ = multilinear_field(rng, 8, [ROLE_GENERIC])
-        out = sensor_forward(bank, fld)
+        out = sensor_forward(bank, [generic_field(rng)])
         sensor_backward(bank, out, np.zeros_like(out.values))
         assert not bank.location_gradients.any()
 
@@ -234,9 +223,9 @@ class TestSensor:
         fld = linear_field((1.0, 0.0, 0.0), 8)
         locs = np.array([[[2.5, 3.5, 4.5], [1.0, 2.0, 3.0]]])
         bank = FilterBank(locs, np.ones((1, 2, 1)), 8)
-        out = sensor_forward(bank, fld)
-        upstream = np.zeros((1, 2, 1))
-        upstream[0, 0, 0] = 1.0
+        out = sensor_forward(bank, [fld])
+        upstream = np.zeros((1, 1, 2, 1))
+        upstream[0, 0, 0, 0] = 1.0
         sensor_backward(bank, out, upstream)
         np.testing.assert_allclose(bank.location_gradients[0, 0], [1.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(bank.location_gradients[0, 1], 0.0, atol=1e-12)
@@ -244,41 +233,46 @@ class TestSensor:
     def test_backward_accumulates(self):
         rng = np.random.default_rng(5)
         bank = small_bank(rng)
-        fld, _ = multilinear_field(rng, 8, [ROLE_GENERIC])
-        upstream = rng.standard_normal((3, 4, 1))
-        out = sensor_forward(bank, fld)
+        fld = generic_field(rng)
+        upstream = rng.standard_normal((1, 3, 4, 1))
+        out = sensor_forward(bank, [fld])
         sensor_backward(bank, out, upstream)
         once = bank.location_gradients.copy()
-        out = sensor_forward(bank, fld)
+        out = sensor_forward(bank, [fld])
         sensor_backward(bank, out, upstream)
+        np.testing.assert_allclose(bank.location_gradients, 2 * once, rtol=1e-12)
+        # one batch of the field twice sums the same two contributions
+        bank.zero_gradients()
+        out = sensor_forward(bank, [fld, fld])
+        sensor_backward(bank, out, np.concatenate([upstream, upstream]))
         np.testing.assert_allclose(bank.location_gradients, 2 * once, rtol=1e-12)
 
     def test_backward_requires_forward(self):
         rng = np.random.default_rng(6)
         bank = small_bank(rng)
         with pytest.raises(RuntimeError, match="before forward"):
-            sensor_backward(bank, None, np.zeros((3, 4, 1)))
-        fld, _ = multilinear_field(rng, 8, [ROLE_GENERIC])
-        out = sensor_forward(bank, fld, with_gradients=False)
+            sensor_backward(bank, None, np.zeros((1, 3, 4, 1)))
+        out = sensor_forward(bank, [generic_field(rng)], with_gradients=False)
+        assert out.gradients is None
         with pytest.raises(RuntimeError, match="without gradients"):
-            sensor_backward(bank, out, np.zeros((3, 4, 1)))
+            sensor_backward(bank, out, np.zeros((1, 3, 4, 1)))
 
     def test_location_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(30):
             bank = small_bank(rng, c=2, n=3, t=2)
-            fld, _ = multilinear_field(rng, 8, [ROLE_GENERIC, ROLE_GENERIC])
-            r_weights = rng.standard_normal((2, 3, 2))
+            fields = [generic_field(rng, channels=2) for _ in range(2)]
+            r_weights = rng.standard_normal((2, 2, 3, 2))
 
             def loss():
-                return float((sensor_forward(bank, fld).values * r_weights).sum())
+                return float((sensor_forward(bank, fields).values * r_weights).sum())
 
             bank.zero_gradients()
-            out = sensor_forward(bank, fld)
+            out = sensor_forward(bank, fields)
             sensor_backward(bank, out, r_weights)
-            numeric = numeric_grad(loss, bank.locations)
-            worst = max(worst, rel_err(bank.location_gradients, numeric))
+            numeric = numeric_gradient(loss, bank.locations, FD_STEP)
+            worst = max(worst, block_error(bank.location_gradients, numeric))
         assert worst <= 1e-5
 
 
@@ -299,7 +293,7 @@ class TestGaussian:
         with pytest.raises(ValueError, match="sigma"):
             gaussian_forward(1.0, 0.0)
         with pytest.raises(ValueError, match="sigma"):
-            ProbingPipeline(FilterBank(np.ones((1, 2, 3)), np.ones((1, 2, 1)), 8), -1.0)
+            ProbingLayer(FilterBank(np.ones((1, 2, 3)), np.ones((1, 2, 1)), 8), -1.0)
 
     def test_backward_closed_form(self):
         assert gaussian_backward(0.0, 1.0, 2.0) == 0.0
@@ -314,45 +308,52 @@ class TestGaussian:
         analytic = gaussian_backward(x, upstream, sigma)
         h = 1e-5
         numeric = upstream * (gaussian_forward(x + h, sigma) - gaussian_forward(x - h, sigma)) / (2 * h)
-        assert rel_err(analytic, numeric) <= 1e-6
+        assert block_error(analytic, numeric) <= 1e-6
+
+    def test_any_shape(self):
+        x = np.random.default_rng(25).uniform(-3, 3, size=(2, 3, 4, 2))
+        np.testing.assert_array_equal(gaussian_forward(x, 1.5)[1],
+                                      gaussian_forward(x[1], 1.5))
 
 
 class TestDotProduct:
     def test_unit_weights_sum(self):
         rng = np.random.default_rng(10)
-        vals = rng.standard_normal((3, 4, 2))
+        vals = rng.standard_normal((2, 3, 4, 2))
         bank = FilterBank(np.ones((3, 4, 3)), np.ones((3, 4, 2)), 8)
-        np.testing.assert_allclose(dotproduct_forward(bank, vals), vals.sum(axis=(1, 2)))
+        np.testing.assert_allclose(dotproduct_forward(bank, vals), vals.sum(axis=(2, 3)))
 
     def test_weights_equal_inputs_gives_squared_norm(self):
         rng = np.random.default_rng(11)
-        vals = rng.standard_normal((2, 3, 2))
-        bank = FilterBank(np.ones((2, 3, 3)), vals.copy(), 8)
-        np.testing.assert_allclose(dotproduct_forward(bank, vals), (vals**2).sum(axis=(1, 2)))
+        vals = rng.standard_normal((1, 2, 3, 2))
+        bank = FilterBank(np.ones((2, 3, 3)), vals[0].copy(), 8)
+        np.testing.assert_allclose(dotproduct_forward(bank, vals), (vals**2).sum(axis=(2, 3)))
 
     def test_hand_value(self):
         bank = FilterBank(np.ones((1, 2, 3)), np.array([[[0.5], [-1.0]]]), 8)
-        vals = np.array([[[3.0], [4.0]]])
-        assert dotproduct_forward(bank, vals)[0] == pytest.approx(-2.5)
+        vals = np.array([[[[3.0], [4.0]]], [[[1.0], [1.0]]]])
+        np.testing.assert_allclose(dotproduct_forward(bank, vals), [[-2.5], [-0.5]])
 
     def test_backward_hand_values(self):
         bank = FilterBank(np.ones((1, 2, 3)), np.array([[[0.5], [-1.0]]]), 8)
-        vals = np.array([[[3.0], [4.0]]])
-        grads = dotproduct_backward(bank, vals, np.array([1.0]))
-        np.testing.assert_allclose(grads[0, :, 0], [0.5, -1.0])
-        np.testing.assert_allclose(bank.weight_gradients[0, :, 0], [3.0, 4.0])
+        vals = np.array([[[[3.0], [4.0]]], [[[1.0], [1.0]]]])
+        grads = dotproduct_backward(bank, vals, np.array([[1.0], [2.0]]))
+        np.testing.assert_allclose(grads[0, 0, :, 0], [0.5, -1.0])
+        np.testing.assert_allclose(grads[1, 0, :, 0], [1.0, -2.0])
+        # summed over the batch: 1 * (3, 4) + 2 * (1, 1)
+        np.testing.assert_allclose(bank.weight_gradients[0, :, 0], [5.0, 6.0])
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(12)
         bank = small_bank(rng)
-        vals = rng.standard_normal((3, 4, 1))
-        grads = dotproduct_backward(bank, vals, np.zeros(3))
+        vals = rng.standard_normal((2, 3, 4, 1))
+        grads = dotproduct_backward(bank, vals, np.zeros((2, 3)))
         assert not grads.any() and not bank.weight_gradients.any()
 
     def test_bilinear(self):
         rng = np.random.default_rng(13)
         bank = small_bank(rng, t=2)
-        vals = rng.standard_normal((3, 4, 2))
+        vals = rng.standard_normal((2, 3, 4, 2))
         base = dotproduct_forward(bank, vals)
         np.testing.assert_allclose(dotproduct_forward(bank, 2.5 * vals), 2.5 * base, rtol=1e-6)
         bank.weights *= -3.0
@@ -361,35 +362,40 @@ class TestDotProduct:
     def test_filter_independence(self):
         rng = np.random.default_rng(14)
         bank = small_bank(rng, c=4)
-        vals = rng.standard_normal((4, 4, 1))
+        vals = rng.standard_normal((2, 4, 4, 1))
         base = dotproduct_forward(bank, vals)
         bank.weights[2] = 0.0
         touched = dotproduct_forward(bank, vals)
-        assert touched[2] == 0.0
-        np.testing.assert_array_equal(np.delete(touched, 2), np.delete(base, 2))
+        assert not touched[:, 2].any()
+        np.testing.assert_array_equal(np.delete(touched, 2, axis=1), np.delete(base, 2, axis=1))
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(15)
         bank = small_bank(rng)
         with pytest.raises(ValueError, match="match"):
-            dotproduct_forward(bank, np.zeros((3, 4, 2)))
+            dotproduct_forward(bank, np.zeros((1, 3, 4, 2)))
+        with pytest.raises(ValueError, match="match"):
+            dotproduct_forward(bank, np.zeros((3, 4, 1)))
         with pytest.raises(ValueError, match="upstream"):
-            dotproduct_backward(bank, np.zeros((3, 4, 1)), np.zeros(5))
+            dotproduct_backward(bank, np.zeros((1, 3, 4, 1)), np.zeros((1, 5)))
+        with pytest.raises(ValueError, match="upstream"):
+            dotproduct_backward(bank, np.zeros((1, 3, 4, 1)), np.zeros((2, 3)))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(16)
         for _ in range(20):
             bank = small_bank(rng, c=2, n=3, t=2)
-            vals = rng.standard_normal((2, 3, 2))
-            upstream = rng.standard_normal(2)
+            vals = rng.standard_normal((2, 2, 3, 2))
+            upstream = rng.standard_normal((2, 2))
 
             def loss():
-                return float(dotproduct_forward(bank, vals) @ upstream)
+                return float((dotproduct_forward(bank, vals) * upstream).sum())
 
             bank.zero_gradients()
             analytic_in = dotproduct_backward(bank, vals, upstream)
-            assert rel_err(analytic_in, numeric_grad(loss, vals)) <= 1e-6
-            assert rel_err(bank.weight_gradients, numeric_grad(loss, bank.weights)) <= 1e-6
+            assert block_error(analytic_in, numeric_gradient(loss, vals, FD_STEP)) <= 1e-6
+            assert block_error(bank.weight_gradients,
+                               numeric_gradient(loss, bank.weights, FD_STEP)) <= 1e-6
 
 
 class TestMacCount:
@@ -403,67 +409,87 @@ class TestMacCount:
 
 
 class TestPipeline:
-    def build(self, rng, roles, sigma=1.2, c=2, n=3):
-        t = len(roles)
-        fld, _ = multilinear_field(rng, 8, roles)
-        bank = small_bank(rng, c=c, n=n, t=t)
-        return ProbingPipeline(bank, sigma), fld
+    """The composed layer: Sensor, Gaussian on distance channels, DotProduct."""
+
+    def build(self, rng, roles, sigma=1.2, c=2, n=3, batch=1, frozen=False):
+        fields = [multilinear_field(rng, 8, roles)[0] for _ in range(batch)]
+        bank = small_bank(rng, c=c, n=n, t=len(roles))
+        return ProbingLayer(bank, sigma, frozen=frozen), fields
 
     def test_composition_equals_manual_stages(self):
         rng = np.random.default_rng(17)
-        pipe, fld = self.build(rng, [ROLE_DISTANCE, ROLE_GENERIC])
-        got = pipe.forward(fld)
-        sensor = sensor_forward(pipe.bank, fld)
-        staged = sensor.values.copy()
-        staged[:, :, 0] = gaussian_forward(staged[:, :, 0], pipe.sigma)
-        np.testing.assert_array_equal(got, dotproduct_forward(pipe.bank, staged))
+        layer, fields = self.build(rng, [ROLE_DISTANCE, ROLE_GENERIC], batch=3)
+        got = layer.forward(fields)
+        staged = sensor_forward(layer.bank, fields).values.copy()
+        staged[..., 0] = gaussian_forward(staged[..., 0], layer.sigma)
+        np.testing.assert_array_equal(got, dotproduct_forward(layer.bank, staged))
 
     def test_gaussian_hits_distance_channels_only(self):
         rng = np.random.default_rng(18)
-        pipe, fld = self.build(rng, [ROLE_DISTANCE, ROLE_GENERIC], c=1, n=2)
-        pipe.bank.weights[:] = 0.0
-        pipe.bank.weights[0, :, 1] = 1.0  # listen to the pass-through channel
-        got = pipe.forward(fld)
-        raw = sensor_forward(pipe.bank, fld).values[0, :, 1].sum()
-        assert got[0] == pytest.approx(raw, rel=1e-12)
-        pipe.bank.weights[:] = 0.0
-        pipe.bank.weights[0, :, 0] = 1.0  # now only the squashed channel
-        got = pipe.forward(fld)
-        squashed = gaussian_forward(sensor_forward(pipe.bank, fld).values[0, :, 0], pipe.sigma)
-        assert got[0] == pytest.approx(squashed.sum(), rel=1e-12)
+        layer, fields = self.build(rng, [ROLE_DISTANCE, ROLE_GENERIC], c=1, n=2)
+        layer.bank.weights[:] = 0.0
+        layer.bank.weights[0, :, 1] = 1.0  # listen to the pass-through channel
+        got = layer.forward(fields)
+        raw = sensor_forward(layer.bank, fields).values[0, 0, :, 1].sum()
+        assert got[0, 0] == pytest.approx(raw, rel=1e-12)
+        layer.bank.weights[:] = 0.0
+        layer.bank.weights[0, :, 0] = 1.0  # now only the squashed channel
+        got = layer.forward(fields)
+        squashed = gaussian_forward(sensor_forward(layer.bank, fields).values[0, 0, :, 0],
+                                    layer.sigma)
+        assert got[0, 0] == pytest.approx(squashed.sum(), rel=1e-12)
 
     def test_backward_requires_forward(self):
         rng = np.random.default_rng(19)
-        pipe, fld = self.build(rng, [ROLE_DISTANCE])
-        with pytest.raises(RuntimeError, match="before forward"):
-            pipe.backward(np.zeros(2))
-        pipe.forward(fld)
-        pipe.backward(np.zeros(2))
-        with pytest.raises(RuntimeError, match="before forward"):
-            pipe.backward(np.zeros(2))
+        layer, fields = self.build(rng, [ROLE_DISTANCE])
+        with pytest.raises(RuntimeError, match="without a training forward"):
+            layer.backward(np.zeros((1, 2)))
+        layer.forward(fields, train=True)
+        layer.backward(np.zeros((1, 2)))
+        with pytest.raises(RuntimeError, match="without a training forward"):
+            layer.backward(np.zeros((1, 2)))
 
     def test_eval_forward_leaves_no_cache(self):
         rng = np.random.default_rng(20)
-        pipe, fld = self.build(rng, [ROLE_DISTANCE])
-        pipe.forward(fld, with_gradients=False)
-        with pytest.raises(RuntimeError, match="before forward"):
-            pipe.backward(np.zeros(2))
+        layer, fields = self.build(rng, [ROLE_DISTANCE])
+        layer.forward(fields, train=False)
+        with pytest.raises(RuntimeError, match="without a training forward"):
+            layer.backward(np.zeros((1, 2)))
+
+    def test_frozen_layer_gathers_no_gradient_rows(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        layer, fields = self.build(rng, [ROLE_DISTANCE, ROLE_GENERIC], batch=2,
+                                   frozen=True)
+        asked = []
+        gather = probing.gather_corners
+
+        def spy(field, index, with_gradients=True):
+            asked.append(with_gradients)
+            return gather(field, index, with_gradients)
+
+        monkeypatch.setattr(probing, "gather_corners", spy)
+        layer.forward(fields, train=True)
+        assert asked == [False, False]
+        assert all(field._block is None for field in fields)
 
     def test_composed_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)
         worst_loc = worst_w = 0.0
         for _ in range(20):
-            pipe, fld = self.build(rng, [ROLE_DISTANCE, ROLE_GENERIC], sigma=1.5)
-            bank = pipe.bank
-            upstream = rng.standard_normal(2)
+            layer, fields = self.build(rng, [ROLE_DISTANCE, ROLE_GENERIC], sigma=1.5,
+                                       batch=2)
+            bank = layer.bank
+            upstream = rng.standard_normal((2, 2))
 
             def loss():
-                return float(pipe.forward(fld) @ upstream)
+                return float((layer.forward(fields) * upstream).sum())
 
             bank.zero_gradients()
-            pipe.forward(fld)
-            pipe.backward(upstream)
-            worst_loc = max(worst_loc, rel_err(bank.location_gradients, numeric_grad(loss, bank.locations)))
-            worst_w = max(worst_w, rel_err(bank.weight_gradients, numeric_grad(loss, bank.weights)))
+            layer.forward(fields, train=True)
+            layer.backward(upstream)
+            worst_loc = max(worst_loc, block_error(
+                bank.location_gradients, numeric_gradient(loss, bank.locations, FD_STEP)))
+            worst_w = max(worst_w, block_error(
+                bank.weight_gradients, numeric_gradient(loss, bank.weights, FD_STEP)))
         assert worst_loc <= 1e-4
         assert worst_w <= 1e-4

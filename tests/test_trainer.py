@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 from fieldprobe.errors import FormatError, ParseError, TrainingDiverged
-from fieldprobe.field import ROLE_DISTANCE
+from fieldprobe.field import ROLE_DISTANCE, ROLE_GENERIC
 from fieldprobe.ingest import parse_perturbation_modes, voxelize
-from fieldprobe.probing import FilterBank, ProbingPipeline, init_filter_bank
-from fieldprobe.synthetic import SyntheticSpec, generate_synthetic
+from fieldprobe.probing import FilterBank, ProbingLayer, init_filter_bank
+from fieldprobe.synthetic import SyntheticSpec, generate_synthetic, multilinear_field
 from fieldprobe.trainer import (
     Checkpoint,
     EVAL_SEED,
     FieldCache,
-    ProbingBlock,
     ShapeDataset,
     TrainConfig,
     build_field,
@@ -218,46 +217,47 @@ def small_block(resolution=8, filters=3, points=4, channels=2, sigma=1.5,
                                   size=(filters, points, 3)),
                       rng.standard_normal((filters, points, channels)),
                       resolution)
-    return bank, ProbingBlock(bank, sigma, frozen=frozen)
+    return bank, ProbingLayer(bank, sigma, frozen=frozen)
 
 
 def random_fields(count, resolution=8, channels=2, seed=1):
-    from fieldprobe.trainer import _random_multilinear_field
     rng = np.random.default_rng(seed)
-    return [_random_multilinear_field(rng, resolution, channels)
+    roles = [ROLE_DISTANCE] + [ROLE_GENERIC] * (channels - 1)
+    return [multilinear_field(rng, resolution, roles)[0]
             for _ in range(count)]
 
 
 class TestProbingBlock:
+    """The probing layer as the trainer's networks run it: one batch at a
+    time, equal to the same samples run one by one."""
+
     def test_forward_matches_single_sample_pipeline(self):
         bank, block = small_block()
-        fields = random_fields(3)
-        out = block.forward(fields, train=False)
-        assert out.shape == (3, bank.filter_count)
-        mirror = ProbingPipeline(bank, 1.5)
-        for row, field in enumerate(fields):
-            np.testing.assert_array_equal(out[row],
-                                          mirror.forward(field,
-                                                         with_gradients=False))
+        fields = random_fields(5)
+        for train in (False, True):
+            out = block.forward(fields, train=train)
+            assert out.shape == (5, bank.filter_count)
+            for row, field in enumerate(fields):
+                np.testing.assert_array_equal(
+                    out[row], block.forward([field], train=train)[0])
 
     def test_backward_accumulates_like_per_sample_pipelines(self):
         bank, block = small_block()
-        fields = random_fields(2)
-        upstream = np.random.default_rng(5).standard_normal((2, 3))
+        fields = random_fields(4)
+        upstream = np.random.default_rng(5).standard_normal((4, 3))
         block.forward(fields, train=True)
         block.backward(upstream)
         got_loc = bank.location_gradients.copy()
         got_w = bank.weight_gradients.copy()
 
-        ref_bank, _ = small_block()
-        mirror = ProbingPipeline(ref_bank, 1.5)
+        ref_bank, ref_block = small_block()
         for row, field in enumerate(fields):
-            mirror.forward(field, with_gradients=True)
-            mirror.backward(upstream[row])
+            ref_block.forward([field], train=True)
+            ref_block.backward(upstream[row:row + 1])
         np.testing.assert_allclose(got_loc, ref_bank.location_gradients,
-                                   rtol=1e-12, atol=1e-12)
+                                   rtol=1e-12, atol=0)
         np.testing.assert_allclose(got_w, ref_bank.weight_gradients,
-                                   rtol=1e-12, atol=1e-12)
+                                   rtol=1e-12, atol=0)
 
     def test_backward_requires_training_forward(self):
         bank, block = small_block()
@@ -270,7 +270,7 @@ class TestProbingBlock:
     def test_upstream_shape_checked(self):
         bank, block = small_block()
         block.forward(random_fields(2), train=True)
-        with pytest.raises(ValueError, match="upstream shape"):
+        with pytest.raises(ValueError, match="upstream"):
             block.backward(np.zeros((3, 3)))
 
     def test_frozen_block_exposes_state_not_params(self):
@@ -286,7 +286,7 @@ class TestProbingBlock:
     def test_sigma_validated(self):
         bank, _ = small_block()
         with pytest.raises(ValueError, match="sigma"):
-            ProbingBlock(bank, 0.0)
+            ProbingLayer(bank, 0.0)
 
 
 class TestBuildModel:
