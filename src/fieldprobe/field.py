@@ -17,6 +17,7 @@ follows the number of points, not R^3.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -235,8 +236,13 @@ def read_field(data: bytes) -> Field3D:
 
 
 def save_field(field: Field3D, path):
-    with open(path, "wb") as fh:
+    """Write an FPF1 file whole or not at all: a run killed mid-write
+    leaves the old file (or none) in place, never a truncated one."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(write_field(field))
+    os.replace(tmp, path)
 
 
 def load_field(path) -> Field3D:

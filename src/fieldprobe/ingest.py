@@ -356,13 +356,21 @@ def _sample_surface(shape: ShapeSample, samples_per_area: float, rng: np.random.
     total = int(counts.sum())
     if total == 0:
         return np.empty((0, 3), dtype=np.float64)
-    which = np.repeat(np.arange(len(counts)), counts)
     u = rng.random(total)
     v = rng.random(total)
     flip = u + v > 1.0
     u[flip] = 1.0 - u[flip]
     v[flip] = 1.0 - v[flip]
-    return tri[which, 0] + u[:, None] * e1[which] + v[:, None] * e2[which]
+    # corner + u*e1 + v*e2, summed in that order in place over each
+    # triangle's repeated rows; addition commutes exactly, so the points
+    # are bit-identical to gathering the rows by a per-point triangle index
+    points = np.repeat(e1, counts, axis=0)
+    points *= u[:, None]
+    points += np.repeat(tri[:, 0], counts, axis=0)
+    edge = np.repeat(e2, counts, axis=0)
+    edge *= v[:, None]
+    points += edge
+    return points
 
 
 def voxelize(

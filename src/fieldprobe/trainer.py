@@ -9,7 +9,6 @@ export, and fine-tuning from a donor checkpoint.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -17,6 +16,7 @@ import os
 import struct
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -213,7 +213,7 @@ class TrainConfig:
             cfg = cls.from_text(handle.read())
         base = os.path.dirname(os.path.abspath(path))
         resolved = {}
-        for key in ("train_manifest", "test_manifest", "cache_dir", "out_dir"):
+        for key in _PATH_KEYS:
             value = getattr(cfg, key)
             if value and not os.path.isabs(value):
                 resolved[key] = os.path.normpath(os.path.join(base, value))
@@ -291,6 +291,14 @@ def build_field(occ, channels):
     return field_from_occupancy(occ)
 
 
+def _perturbed_view(shape, perturbation, vox_seed, cfg):
+    """The field of one perturbed view of a normalized shape: the one
+    builder training augmentation and perturbed evaluation share."""
+    view = apply_perturbation(shape, perturbation)
+    occ = voxelize(view, cfg.resolution, cfg.samples_per_area, seed=vox_seed)
+    return build_field(occ, cfg.channels)
+
+
 def sample_seed(sample_id):
     """Stable voxelization seed for a manifest entry, independent of any
     generator state so cached fields never depend on training order."""
@@ -300,8 +308,13 @@ def sample_seed(sample_id):
 
 class FieldCache:
     """Unaugmented fields memoized in memory and, when given a directory,
-    on disk. Perturbed views are never cached; they are cheap relative to
-    a training step and must track the perturbation draw exactly."""
+    on disk. Perturbed views are never cached: each one follows its own
+    perturbation draw, so no view is read twice. Building them (voxelize
+    plus EDT) is most of an augmented training step; `train` and
+    `evaluate_network` spread it over `pipeline_workers` threads.
+
+    A disk entry that fails to parse, such as a truncated copy, is
+    rebuilt and rewritten."""
 
     def __init__(self, cache_dir, resolution, channels,
                  samples_per_area=DEFAULT_SAMPLES_PER_AREA):
@@ -331,8 +344,11 @@ class FieldCache:
                 return field
             path = self._path(sample_id) if self.dir else None
             if path and os.path.exists(path):
-                field = load_field(path)
-            else:
+                try:
+                    field = load_field(path)
+                except FormatError:
+                    pass  # a corrupt entry is a miss: rebuilt and rewritten
+            if field is None:
                 occ = voxelize(dataset.shape(index), self.resolution,
                                self.samples_per_area,
                                seed=sample_seed(sample_id))
@@ -525,32 +541,53 @@ def evaluate_network(net, dataset, cache, cfg, perturb=(), chunk=64):
 
     With `perturb` modes the view is drawn from a generator keyed by
     (EVAL_SEED, sample id), so repeated evaluations see identical inputs
-    no matter what the training loop has consumed.
+    no matter what the training loop has consumed or how many threads
+    build them. Perturbed views are built on `cfg.pipeline_workers`
+    threads, one chunk ahead of the forward pass; cached fields are read
+    on the calling thread, where a pool would only add overhead.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
+
+    def view(index):
+        if not perturb:
+            return cache.field_for(dataset, index)
+        rng = np.random.default_rng(
+            (EVAL_SEED, sample_seed(dataset.id(index))))
+        perturbation = sample_perturbation(perturb, rng)
+        return _perturbed_view(dataset.shape(index), perturbation,
+                               int(rng.integers(2 ** 63)), cfg)
+
+    chunks = [range(start, min(start + chunk, len(dataset)))
+              for start in range(0, len(dataset), chunk)]
+    workers = cfg.pipeline_workers if perturb else 1
     predictions = np.empty(len(dataset), dtype=np.int64)
-    for start in range(0, len(dataset), chunk):
-        stop = min(start + chunk, len(dataset))
-        fields = []
-        for index in range(start, stop):
-            if perturb:
-                rng = np.random.default_rng(
-                    (EVAL_SEED, sample_seed(dataset.id(index))))
-                view = apply_perturbation(dataset.shape(index),
-                                          sample_perturbation(perturb, rng))
-                occ = voxelize(view, cfg.resolution, cfg.samples_per_area,
-                               seed=int(rng.integers(2 ** 63)))
-                fields.append(build_field(occ, cfg.channels))
-            else:
-                fields.append(cache.field_for(dataset, index))
+    for indices, fields in zip(chunks, _views_ahead(view, chunks, workers)):
         logits = net.forward(fields, train=False)
-        predictions[start:stop] = np.argmax(logits, axis=1)
+        del fields  # drop this chunk's views before awaiting the next
+        predictions[indices.start:indices.stop] = np.argmax(logits, axis=1)
     confusion = np.zeros((dataset.class_count, dataset.class_count),
                          dtype=np.int64)
     np.add.at(confusion, (dataset.labels, predictions), 1)
     accuracy = float((predictions == dataset.labels).mean())
     return EvalResult(accuracy=accuracy, confusion=confusion)
+
+
+def _views_ahead(build, chunks, workers):
+    """Yield each chunk's list of `build(index)` results, in order. With
+    more than one worker the chunks are built on a thread pool, the next
+    one queued before the current one is awaited, so the workers never
+    idle between chunks and at most two chunks of views are alive."""
+    if workers == 1:
+        for indices in chunks:
+            yield [build(index) for index in indices]
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = [pool.submit(build, index) for index in chunks[0]]
+        for following in chunks[1:] + [()]:
+            current = ahead
+            ahead = [pool.submit(build, index) for index in following]
+            yield [future.result() for future in current]
 
 
 @dataclasses.dataclass
@@ -605,7 +642,7 @@ def train(cfg: TrainConfig, resume=None, donor=None,
     if not params:
         raise ValueError("nothing to train: every parameter group is frozen")
     opt = Sgd(params, cfg.sgd_config)
-    config_text = cfg.to_text()
+    config_text = _drop_keys(cfg.to_text(), _PATH_KEYS)
 
     if donor is not None:
         donor_ck = load_checkpoint(donor)
@@ -629,16 +666,19 @@ def train(cfg: TrainConfig, resume=None, donor=None,
     fresh_metrics = True
     if resume is not None:
         ck = load_checkpoint(resume)
-        if _model_config_text(ck.config_text) != \
-                _model_config_text(config_text):
+        theirs = _drop_keys(ck.config_text, _PATH_KEYS + _EXECUTION_KEYS)
+        ours = _drop_keys(config_text, _EXECUTION_KEYS)
+        if theirs != ours:
             raise ValueError("checkpoint config does not match; first diff: %s"
-                             % _first_diff(ck.config_text, config_text))
+                             % _first_diff(theirs, ours))
         load_model_state(net, ck, opt)
         generator = np.random.PCG64()
         generator.state = ck.rng_state
         master = np.random.Generator(generator)
         start = ck.iteration
         fresh_metrics = not os.path.exists(metrics_path)
+        if not fresh_metrics:
+            _truncate_metrics(metrics_path, start)
 
     modes = parse_perturbation_modes(cfg.augmentation) if cfg.augmentation else ()
     sample_count = len(train_ds)
@@ -647,17 +687,13 @@ def train(cfg: TrainConfig, resume=None, donor=None,
         index, perturb, vox_seed = job
         if perturb is None:
             return cache.field_for(train_ds, index)
-        view = apply_perturbation(train_ds.shape(index), perturb)
-        occ = voxelize(view, cfg.resolution, cfg.samples_per_area,
-                       seed=vox_seed)
-        return build_field(occ, cfg.channels)
+        return _perturbed_view(train_ds.shape(index), perturb, vox_seed, cfg)
 
     # All randomness is drawn on the main thread in a fixed order, so the
     # worker count changes wall time only, never batch content.
     pool = None
     if cfg.pipeline_workers > 1:
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=cfg.pipeline_workers)
+        pool = ThreadPoolExecutor(max_workers=cfg.pipeline_workers)
     try:
         with open(metrics_path, "w" if fresh_metrics else "a",
                   encoding="utf-8") as metrics:
@@ -731,11 +767,29 @@ def train(cfg: TrainConfig, resume=None, donor=None,
 
 # keys that steer execution, not the model; resume may change them freely
 _EXECUTION_KEYS = ("pipeline_workers",)
+# where a run reads and writes, not what it computes: checkpoints leave
+# them out, so their bytes do not depend on the run's directory and a
+# moved run directory can still be resumed
+_PATH_KEYS = ("train_manifest", "test_manifest", "cache_dir", "out_dir")
 
 
-def _model_config_text(text):
-    return "\n".join(line for line in text.splitlines()
-                     if line.split("=", 1)[0] not in _EXECUTION_KEYS)
+def _drop_keys(text, keys):
+    return "".join(line + "\n" for line in text.splitlines()
+                   if line.split("=", 1)[0] not in keys)
+
+
+def _truncate_metrics(path, iteration):
+    """Cut metrics.csv back to its header and the rows up to `iteration`,
+    so a resumed run appends each later iteration exactly once. A torn
+    last line, from a run killed mid-write, goes too."""
+    with open(path, "rb+") as handle:
+        keep = len(handle.readline())
+        for line in handle:
+            if not line.endswith(b"\n") or \
+                    int(line.split(b",", 1)[0]) > iteration:
+                break
+            keep += len(line)
+        handle.truncate(keep)
 
 
 def _first_diff(a, b):

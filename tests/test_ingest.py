@@ -11,6 +11,7 @@ from fieldprobe.ingest import (
     OccupancyGrid,
     Perturbation,
     ShapeSample,
+    _sample_surface,
     apply_perturbation,
     load_manifest,
     load_shape,
@@ -366,6 +367,31 @@ class TestVoxelize:
         got = {tuple(c) for c in np.argwhere(occ_turned.bits)}
         expected = {(z, x, r - y) for z, y, x in np.argwhere(occ.bits)}
         assert got == expected
+
+    def test_surface_samples_match_index_gather(self):
+        # reference: the per-point triangle index gathering each point's
+        # corner and edges; the repeated-row form must give the same bits
+        rng = np.random.default_rng(29)
+        v = rng.uniform(3.0, 29.0, size=(40, 3))
+        f = rng.integers(0, 40, size=(60, 3))
+        shape = ShapeSample(v, f, frame=GridFrame(32, 2))
+        got = _sample_surface(shape, 3.0, np.random.default_rng(17))
+
+        tri = v[f]
+        e1 = tri[:, 1] - tri[:, 0]
+        e2 = tri[:, 2] - tri[:, 0]
+        areas = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+        counts = np.ceil(areas * 3.0).astype(np.int64)
+        which = np.repeat(np.arange(len(counts)), counts)
+        draw = np.random.default_rng(17)
+        u = draw.random(which.size)
+        w = draw.random(which.size)
+        flip = u + w > 1.0
+        u[flip] = 1.0 - u[flip]
+        w[flip] = 1.0 - w[flip]
+        expected = tri[which, 0] + u[:, None] * e1[which] + w[:, None] * e2[which]
+        assert got.shape == expected.shape and got.shape[0] > 1000
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestOccupancyGrid:

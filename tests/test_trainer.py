@@ -3,10 +3,12 @@ import json
 import os
 import shutil
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+from fieldprobe import trainer
 from fieldprobe.errors import FormatError, ParseError, TrainingDiverged
 from fieldprobe.field import ROLE_DISTANCE, ROLE_GENERIC
 from fieldprobe.ingest import parse_perturbation_modes, voxelize
@@ -197,6 +199,20 @@ class TestFieldCache:
         second = FieldCache(str(tmp_path), 32, "distance")
         loaded = second.field_for(ds, 0)
         np.testing.assert_array_equal(loaded.values, built.values)
+
+    def test_truncated_entry_is_rebuilt(self, workbench, tmp_path):
+        ds = ShapeDataset(workbench["train"], 32)
+        cold = FieldCache(None, 32, "distance").field_for(ds, 0)
+        FieldCache(str(tmp_path), 32, "distance").field_for(ds, 0)
+        [name] = os.listdir(tmp_path)
+        path = os.path.join(str(tmp_path), name)
+        whole = open(path, "rb").read()
+        with open(path, "r+b") as handle:
+            handle.truncate(len(whole) // 2)
+        rebuilt = FieldCache(str(tmp_path), 32, "distance").field_for(ds, 0)
+        assert rebuilt.values.tobytes() == cold.values.tobytes()
+        assert os.listdir(tmp_path) == [name]
+        assert open(path, "rb").read() == whole
 
     def test_key_separates_resolutions(self, workbench, tmp_path):
         ds32 = ShapeDataset(workbench["train"], 32)
@@ -447,7 +463,12 @@ class TestTrainLoop:
         ck = load_checkpoint(result.checkpoint_path)
         echoed = TrainConfig.from_text(ck.config_text)
         assert echoed.classes == 2
-        assert echoed.train_manifest == cfg.train_manifest
+        assert echoed.seed == cfg.seed
+        keys = [line.split("=", 1)[0] for line in ck.config_text.splitlines()]
+        for key in ("train_manifest", "test_manifest", "cache_dir",
+                    "out_dir"):
+            assert key not in keys
+        assert "pipeline_workers" in keys
         assert ck.iteration == 30
 
     def test_rerun_is_bitwise_identical(self, workbench, tmp_path):
@@ -479,6 +500,54 @@ class TestTrainLoop:
         resumed = open(os.path.join(cfg.out_dir, "ckpt_000020.fpck"),
                        "rb").read()
         assert resumed == full
+
+    def test_resume_keeps_one_metrics_row_per_iteration(self, workbench,
+                                                        tmp_path):
+        cfg = mini_config(workbench, tmp_path / "run", max_iterations=30,
+                          checkpoint_every=10, eval_every=0)
+        train(cfg)
+        train(cfg, resume=os.path.join(cfg.out_dir, "ckpt_000010.fpck"))
+        with open(os.path.join(cfg.out_dir, "metrics.csv")) as handle:
+            lines = handle.read().splitlines()
+        assert lines[0] == "iteration,loss,train_acc,eval_acc,wall_ms"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == \
+            list(range(1, 31))
+
+    def test_checkpoints_do_not_depend_on_run_directory(self, workbench,
+                                                       tmp_path):
+        data = os.path.dirname(workbench["train"])
+        copied = str(tmp_path / "elsewhere" / "data")
+        shutil.copytree(data, copied)
+        first = mini_config(workbench, tmp_path / "a" / "run",
+                            cache_dir=str(tmp_path / "a" / "cache"),
+                            max_iterations=20, checkpoint_every=10,
+                            eval_every=0)
+        second = dataclasses.replace(
+            first,
+            train_manifest=os.path.join(copied, "train.tsv"),
+            test_manifest=os.path.join(copied, "test.tsv"),
+            cache_dir=str(tmp_path / "b" / "cache"),
+            out_dir=str(tmp_path / "b" / "run"))
+        final = open(train(first).checkpoint_path, "rb").read()
+        assert open(train(second).checkpoint_path, "rb").read() == final
+
+        # a moved run directory resumes to the same bytes
+        moved = str(tmp_path / "moved")
+        shutil.move(first.out_dir, moved)
+        os.remove(os.path.join(moved, "final.fpck"))
+        resumed = train(dataclasses.replace(first, out_dir=moved),
+                        resume=os.path.join(moved, "ckpt_000010.fpck"))
+        assert open(resumed.checkpoint_path, "rb").read() == final
+
+        # a checkpoint whose config text still holds the paths resumes too
+        mid = load_checkpoint(os.path.join(moved, "ckpt_000010.fpck"))
+        pathful = str(tmp_path / "pathful.fpck")
+        resolved = dataclasses.replace(first, classes=2).to_text()
+        save_checkpoint(pathful, mid.iteration, mid.blocks, resolved,
+                        mid.rng_state)
+        resumed = train(dataclasses.replace(first, out_dir=moved),
+                        resume=pathful)
+        assert open(resumed.checkpoint_path, "rb").read() == final
 
     def test_worker_count_does_not_change_results(self, workbench, tmp_path):
         # Randomness is drawn on the main thread before jobs are handed to
@@ -561,6 +630,21 @@ class TestTrainLoop:
             train(cfg)
 
 
+class RecordingNetwork:
+    """Forwards to a network, keeping the bytes of every view it is given
+    and every logits row it returns."""
+
+    def __init__(self, net):
+        self.net = net
+        self.views, self.logits = [], []
+
+    def forward(self, fields, train):
+        self.views += [field.values.tobytes() for field in fields]
+        logits = self.net.forward(fields, train=train)
+        self.logits.append(logits.copy())
+        return logits
+
+
 class TestEvaluation:
     def test_confusion_matches_accuracy(self, workbench, mini_run):
         cfg, result = mini_run
@@ -582,6 +666,53 @@ class TestEvaluation:
                                perturb=modes)
         assert one.accuracy == two.accuracy
         np.testing.assert_array_equal(one.confusion, two.confusion)
+
+    def test_perturbed_eval_independent_of_worker_count(self, workbench,
+                                                        mini_run):
+        # chunks of 2 over 6 samples, so views are built across chunks; 5
+        # workers and a short switch interval shuffle the build order
+        cfg, result = mini_run
+        ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
+        cache = FieldCache(workbench["cache"], cfg.resolution, cfg.channels)
+        modes = parse_perturbation_modes("R15+T01+S")
+        seen = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 5):
+                net = RecordingNetwork(result.net)
+                res = evaluate_network(
+                    net, ds, cache,
+                    dataclasses.replace(result.config,
+                                        pipeline_workers=workers),
+                    perturb=modes, chunk=2)
+                seen[workers] = (net.views,
+                                 [a.tobytes() for a in net.logits],
+                                 res.accuracy, res.confusion.tolist())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen[1][0]) == len(ds)
+        assert seen[2] == seen[1]
+        assert seen[5] == seen[1]
+
+    def test_cached_eval_builds_no_pool(self, workbench, mini_run,
+                                        monkeypatch):
+        cfg, result = mini_run
+        ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
+        cache = FieldCache(workbench["cache"], cfg.resolution, cfg.channels)
+        wide = dataclasses.replace(result.config, pipeline_workers=2)
+        expected = evaluate_network(result.net, ds, cache, wide)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
+        res = evaluate_network(result.net, ds, cache, wide)
+        np.testing.assert_array_equal(res.confusion, expected.confusion)
+        # the stub is the executor perturbed evaluation reaches for
+        with pytest.raises(AssertionError, match="thread pool"):
+            evaluate_network(result.net, ds, cache, wide,
+                             perturb=parse_perturbation_modes("R15"))
 
     def test_evaluate_checkpoint_round_trip(self, workbench, mini_run):
         cfg, result = mini_run
