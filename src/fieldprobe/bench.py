@@ -11,7 +11,6 @@ kernel.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import platform
 import time
@@ -142,43 +141,24 @@ def _machine_info():
         platform.platform(), platform.python_version(), np.__version__)
 
 
-def _time_callables(fns, reps, min_seconds=1e-3):
+def _time_callable(fn, reps, min_seconds=1e-3):
     """Mean/std wall milliseconds per call over >= `reps` measurements.
 
-    Each measurement runs the whole set of callables enough times that
-    the monotonic clock resolves it (auto-scaled inner loop), then
-    divides back down to a single call. The callables must be warm.
+    Each measurement runs the callable enough times that the monotonic
+    clock resolves it (auto-scaled inner loop), then divides back down to
+    a single call. The callable must be warm.
     """
     reps = max(10, int(reps))
     t0 = time.perf_counter()
-    for fn in fns:
-        fn()
+    fn()
     probe = max(time.perf_counter() - t0, 1e-9)
     inner = max(1, int(np.ceil(min_seconds / probe)))
     samples = np.empty(reps, dtype=np.float64)
     for i in range(reps):
         t0 = time.perf_counter()
         for _ in range(inner):
-            for fn in fns:
-                fn()
-        samples[i] = (time.perf_counter() - t0) / (inner * len(fns))
-    return float(samples.mean() * 1e3), float(samples.std() * 1e3), reps
-
-
-def _time_parallel(fns, reps, workers, warmups=WARMUPS):
-    """Effective per-call milliseconds when `fns` run concurrently."""
-    reps = max(10, int(reps))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        def sweep():
-            list(pool.map(lambda fn: fn(), fns))
-
-        for _ in range(warmups):
-            sweep()
-        samples = np.empty(reps, dtype=np.float64)
-        for i in range(reps):
-            t0 = time.perf_counter()
-            sweep()
-            samples[i] = (time.perf_counter() - t0) / len(fns)
+            fn()
+        samples[i] = (time.perf_counter() - t0) / inner
     return float(samples.mean() * 1e3), float(samples.std() * 1e3), reps
 
 
@@ -216,17 +196,15 @@ def _conv_setup(conv_cfg, resolution, rng):
 
 
 def run_bench(resolutions, init_cfg=None, conv_cfg=None, mode="fixed-stride",
-              stride=2, channel_count=4, reps=10, workers=1, seed=0):
+              stride=2, channel_count=4, reps=10, seed=0):
     """Time probing forward+backward and conv forward at each resolution.
 
     `mode` picks how the convolution scales: "fixed-stride" (default)
     keeps the stride and lets the position count S grow with resolution,
     reproducing the cubic blow-up; "fixed-S" keeps S and stretches the
     stride, isolating kernel cost. The probing bank is re-initialized
-    per resolution but its MAC count never changes. `workers` > 1 runs
-    that many independent kernel replicas concurrently and reports
-    effective per-kernel time, with kinds suffixed "@N". The bytes
-    column counts input plus parameter bytes one pass reads.
+    per resolution but its MAC count never changes. The bytes column
+    counts input plus parameter bytes one pass reads.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s, got %r"
@@ -234,13 +212,10 @@ def run_bench(resolutions, init_cfg=None, conv_cfg=None, mode="fixed-stride",
     resolutions = [int(r) for r in resolutions]
     if not resolutions:
         raise ValueError("need at least one resolution")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     init_cfg = init_cfg or InitConfig()
     conv_cfg = conv_cfg or ConvConfig()
-    suffix = "@%d" % workers if workers > 1 else ""
     setups = []
     for resolution in resolutions:
         rng = np.random.default_rng((seed, resolution))
@@ -253,28 +228,19 @@ def run_bench(resolutions, init_cfg=None, conv_cfg=None, mode="fixed-stride",
             cfg_r = dataclasses.replace(conv_cfg, positions=positions)
         else:
             cfg_r = conv_cfg
-        for kind, setup in (("probing",
-                             lambda: _probing_setup(init_cfg, resolution,
-                                                    channel_count, rng)),
-                            ("conv",
-                             lambda: _conv_setup(cfg_r, resolution, rng))):
-            setups.append((resolution, kind,
-                           [setup() for _ in range(workers)]))
+        setups.append((resolution, "probing") + _probing_setup(
+            init_cfg, resolution, channel_count, rng))
+        setups.append((resolution, "conv")
+                      + _conv_setup(cfg_r, resolution, rng))
     # Warm every resolution before any row is timed: the first row timed
     # on a cold heap reads slow, which biases t(high)/t(low) low.
-    for _, _, builds in setups:
+    for _, _, fn, _, _ in setups:
         for _ in range(WARMUPS):
-            for fn, _, _ in builds:
-                fn()
+            fn()
     rows = []
-    for resolution, kind, builds in setups:
-        fns = [b[0] for b in builds]
-        macs, touched = builds[0][1], builds[0][2]
-        if workers == 1:
-            mean_ms, std_ms, done = _time_callables(fns, reps)
-        else:
-            mean_ms, std_ms, done = _time_parallel(fns, reps, workers)
-        rows.append(BenchRow(resolution=resolution, kind=kind + suffix,
+    for resolution, kind, fn, macs, touched in setups:
+        mean_ms, std_ms, done = _time_callable(fn, reps)
+        rows.append(BenchRow(resolution=resolution, kind=kind,
                              mean_ms=mean_ms, std_ms=std_ms, macs=macs,
                              bytes=touched, reps=done))
     return BenchReport(rows=rows, machine=_machine_info())

@@ -122,8 +122,7 @@ def _cmd_bench(args):
                           positions=args.positions)
     report = run_bench(resolutions, init_cfg=init_cfg, conv_cfg=conv_cfg,
                        mode=args.mode, stride=args.stride,
-                       channel_count=args.channel_count, reps=args.reps,
-                       workers=args.workers)
+                       channel_count=args.channel_count, reps=args.reps)
     for row in report.rows:
         print("%4d %-10s %10.3f ms (+/- %.3f)  %12d MACs" %
               (row.resolution, row.kind, row.mean_ms, row.std_ms, row.macs))
@@ -208,7 +207,6 @@ def build_parser():
                    choices=["fixed-stride", "fixed-S"])
     p.add_argument("--stride", type=int, default=2)
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--grid-divisions", type=int, default=4)
     p.add_argument("--filters-per-cell", type=int, default=16)
     p.add_argument("--points-per-filter", type=int, default=8)

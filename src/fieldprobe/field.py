@@ -32,8 +32,6 @@ ROLE_NORMAL_Y = 2
 ROLE_NORMAL_Z = 3
 ROLE_GENERIC = 4
 
-ROLE_NAMES = {0: "distance", 1: "normal-x", 2: "normal-y", 3: "normal-z", 4: "generic"}
-
 FIELD_MAGIC = b"FPF1"
 
 NORMAL_EPS = 1e-8

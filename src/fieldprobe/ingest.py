@@ -1,5 +1,6 @@
 """Shape ingestion: mesh/point-cloud parsing, grid-frame normalization,
-stochastic perturbations, and surface voxelization into occupancy grids.
+stochastic perturbations, and surface voxelization into occupancy grids;
+also the dataset manifest reader and the ``key=value`` config parser.
 
 Coordinate conventions used throughout the package:
   * grid coordinates are voxel units; voxel (i, j, k) = (x, y, z) is centered
@@ -419,6 +420,32 @@ def load_manifest(path) -> list[tuple[str, int]]:
     if not entries:
         raise ParseError(f"manifest {path} is empty")
     return entries
+
+
+def parse_key_values(text, coerce) -> dict:
+    """Parse ``key=value`` lines into {key: coerce[key](value)}.
+
+    `#` starts a comment and blank lines are skipped. A line without `=`,
+    a key missing from `coerce`, a repeated key, or a value its coercer
+    rejects with ValueError is a ParseError carrying the line number.
+    """
+    values = {}
+    for num, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError("expected key=value", line=num)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in coerce:
+            raise ParseError(f"unknown key {key!r}", line=num)
+        if key in values:
+            raise ParseError(f"duplicate key {key!r}", line=num)
+        try:
+            values[key] = coerce[key](value)
+        except ValueError:
+            raise ParseError(f"bad value for {key}: {value!r}", line=num) from None
+    return values
 
 
 def load_shape(path, label: int = -1) -> ShapeSample:

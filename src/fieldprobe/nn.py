@@ -209,9 +209,6 @@ class SgdConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    batch_size: int = 32
-    max_iterations: int = 2000
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -220,10 +217,6 @@ class SgdConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
 
 
 class Sgd:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError
 from .field import Field3D
-from .ingest import ShapeSample, write_off
+from .ingest import ShapeSample, parse_key_values, write_off
 
 CLASS_NAMES = ("sphere", "box", "cylinder", "torus", "cone")
 
@@ -54,29 +54,11 @@ class SyntheticSpec:
     @classmethod
     def from_text(cls, text):
         """Parse ``key=value`` lines; unknown keys are errors."""
-        fields = {"classes": None, "train_per_class": int,
-                  "test_per_class": int, "jitter": float, "seed": int}
-        kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("expected key=value", line=lineno)
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in fields:
-                raise ParseError("unknown key %r" % key, line=lineno)
-            if key in kwargs:
-                raise ParseError("duplicate key %r" % key, line=lineno)
-            if key == "classes":
-                kwargs[key] = tuple(
-                    name.strip() for name in value.split(",") if name.strip())
-            else:
-                try:
-                    kwargs[key] = fields[key](value)
-                except ValueError:
-                    raise ParseError("bad value for %s: %r" % (key, value),
-                                     line=lineno) from None
+        kwargs = parse_key_values(text, {
+            "classes": lambda value: tuple(
+                name.strip() for name in value.split(",") if name.strip()),
+            "train_per_class": int, "test_per_class": int, "jitter": float,
+            "seed": int})
         try:
             return cls(**kwargs)
         except ValueError as exc:

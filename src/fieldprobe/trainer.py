@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import FormatError, ParseError, TrainingDiverged
+from .errors import FormatError, TrainingDiverged
 from .field import (
     Field3D,
     ROLE_DISTANCE,
@@ -37,6 +37,7 @@ from .ingest import (
     load_manifest,
     load_shape,
     normalize,
+    parse_key_values,
     parse_perturbation_modes,
     sample_perturbation,
     voxelize,
@@ -132,6 +133,10 @@ class TrainConfig:
         # these two validate their own slices of the config eagerly
         self.init_config
         self.sgd_config
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
         if self.augmentation:
             parse_perturbation_modes(self.augmentation)
 
@@ -162,9 +167,6 @@ class TrainConfig:
             learning_rate=self.learning_rate,
             momentum=self.momentum,
             weight_decay=self.weight_decay,
-            batch_size=self.batch_size,
-            max_iterations=self.max_iterations,
-            seed=self.seed,
         )
 
     def to_text(self):
@@ -187,24 +189,7 @@ class TrainConfig:
         for field in dataclasses.fields(cls):
             name = field.type if isinstance(field.type, str) else field.type.__name__
             types[field.name] = coerce[name]
-        kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("expected key=value", line=lineno)
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in types:
-                raise ParseError("unknown key %r" % key, line=lineno)
-            if key in kwargs:
-                raise ParseError("duplicate key %r" % key, line=lineno)
-            try:
-                kwargs[key] = types[key](value)
-            except ValueError:
-                raise ParseError("bad value for %s: %r" % (key, value),
-                                 line=lineno) from None
-        return cls(**kwargs)
+        return cls(**parse_key_values(text, types))
 
     @classmethod
     def from_file(cls, path):
@@ -291,10 +276,14 @@ def build_field(occ, channels):
     return field_from_occupancy(occ)
 
 
-def _perturbed_view(shape, perturbation, vox_seed, cfg):
-    """The field of one perturbed view of a normalized shape: the one
-    builder training augmentation and perturbed evaluation share."""
-    view = apply_perturbation(shape, perturbation)
+def _view(cache, dataset, index, perturbation, vox_seed, cfg):
+    """One sample's input field: the cached, unaugmented field when
+    `perturbation` is None, else the field of that perturbed view of the
+    normalized shape, voxelized with `vox_seed`. Training and evaluation
+    build every view here."""
+    if perturbation is None:
+        return cache.field_for(dataset, index)
+    view = apply_perturbation(dataset.shape(index), perturbation)
     occ = voxelize(view, cfg.resolution, cfg.samples_per_area, seed=vox_seed)
     return build_field(occ, cfg.channels)
 
@@ -536,35 +525,44 @@ class EvalResult:
     confusion: np.ndarray  # (classes, classes), rows true, columns predicted
 
 
-def evaluate_network(net, dataset, cache, cfg, perturb=(), chunk=64):
-    """Eval-mode accuracy over one deterministic view per sample.
+def _forward_dataset(net, dataset, cache, cfg, perturb=(), chunk=64):
+    """Yield (indices, eval-mode output of `net`) over the dataset, one
+    chunk of `chunk` samples at a time, one deterministic view per sample.
 
     With `perturb` modes the view is drawn from a generator keyed by
-    (EVAL_SEED, sample id), so repeated evaluations see identical inputs
-    no matter what the training loop has consumed or how many threads
-    build them. Perturbed views are built on `cfg.pipeline_workers`
-    threads, one chunk ahead of the forward pass; cached fields are read
-    on the calling thread, where a pool would only add overhead.
+    (EVAL_SEED, sample id), so repeated passes see identical inputs no
+    matter what the training loop has consumed or how many threads build
+    them. Perturbed views are built on `cfg.pipeline_workers` threads, one
+    chunk ahead of the forward pass; cached fields are read on the
+    calling thread, where a pool would only add overhead.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
 
     def view(index):
         if not perturb:
-            return cache.field_for(dataset, index)
+            return _view(cache, dataset, index, None, 0, cfg)
         rng = np.random.default_rng(
             (EVAL_SEED, sample_seed(dataset.id(index))))
         perturbation = sample_perturbation(perturb, rng)
-        return _perturbed_view(dataset.shape(index), perturbation,
-                               int(rng.integers(2 ** 63)), cfg)
+        return _view(cache, dataset, index, perturbation,
+                     int(rng.integers(2 ** 63)), cfg)
 
     chunks = [range(start, min(start + chunk, len(dataset)))
               for start in range(0, len(dataset), chunk)]
     workers = cfg.pipeline_workers if perturb else 1
-    predictions = np.empty(len(dataset), dtype=np.int64)
     for indices, fields in zip(chunks, _views_ahead(view, chunks, workers)):
-        logits = net.forward(fields, train=False)
+        outputs = net.forward(fields, train=False)
         del fields  # drop this chunk's views before awaiting the next
+        yield indices, outputs
+
+
+def evaluate_network(net, dataset, cache, cfg, perturb=(), chunk=64):
+    """Eval-mode accuracy and confusion over one deterministic view per
+    sample; `perturb` and `chunk` are as in `_forward_dataset`."""
+    predictions = np.empty(len(dataset), dtype=np.int64)
+    for indices, logits in _forward_dataset(net, dataset, cache, cfg,
+                                            perturb, chunk):
         predictions[indices.start:indices.stop] = np.argmax(logits, axis=1)
     confusion = np.zeros((dataset.class_count, dataset.class_count),
                          dtype=np.int64)
@@ -684,72 +682,61 @@ def train(cfg: TrainConfig, resume=None, donor=None,
     sample_count = len(train_ds)
 
     def build_view(job):
-        index, perturb, vox_seed = job
-        if perturb is None:
-            return cache.field_for(train_ds, index)
-        return _perturbed_view(train_ds.shape(index), perturb, vox_seed, cfg)
+        return _view(cache, train_ds, *job, cfg)
 
     # All randomness is drawn on the main thread in a fixed order, so the
-    # worker count changes wall time only, never batch content.
-    pool = None
-    if cfg.pipeline_workers > 1:
-        pool = ThreadPoolExecutor(max_workers=cfg.pipeline_workers)
-    try:
-        with open(metrics_path, "w" if fresh_metrics else "a",
-                  encoding="utf-8") as metrics:
-            if fresh_metrics:
-                metrics.write(METRICS_HEADER + "\n")
-            for it in range(start + 1, cfg.max_iterations + 1):
-                t0 = time.perf_counter()
-                picks = master.integers(0, sample_count, size=cfg.batch_size)
-                dropout_rng = np.random.default_rng(
-                    int(master.integers(2 ** 63)))
-                labels = np.empty(cfg.batch_size, dtype=np.int64)
-                jobs = []
-                for slot, index in enumerate(picks):
-                    index = int(index)
-                    labels[slot] = train_ds.label(index)
-                    if modes:
-                        jobs.append((index,
-                                     sample_perturbation(modes, master),
-                                     int(master.integers(2 ** 63))))
-                    else:
-                        jobs.append((index, None, 0))
-                if pool is not None:
-                    fields = list(pool.map(build_view, jobs))
+    # worker count changes wall time only, never batch content. Each batch
+    # is built alone: queueing the next one would draw from `master` early
+    # and change the generator state checkpoints save.
+    with open(metrics_path, "w" if fresh_metrics else "a",
+              encoding="utf-8") as metrics:
+        if fresh_metrics:
+            metrics.write(METRICS_HEADER + "\n")
+        for it in range(start + 1, cfg.max_iterations + 1):
+            t0 = time.perf_counter()
+            picks = master.integers(0, sample_count, size=cfg.batch_size)
+            dropout_rng = np.random.default_rng(
+                int(master.integers(2 ** 63)))
+            labels = np.empty(cfg.batch_size, dtype=np.int64)
+            jobs = []
+            for slot, index in enumerate(picks):
+                index = int(index)
+                labels[slot] = train_ds.label(index)
+                if modes:
+                    jobs.append((index,
+                                 sample_perturbation(modes, master),
+                                 int(master.integers(2 ** 63))))
                 else:
-                    fields = [build_view(job) for job in jobs]
-                opt.zero_grads()
-                logits = net.forward(fields, train=True, rng=dropout_rng)
-                loss, dlogits = softmax_cross_entropy(logits, labels)
-                if not np.isfinite(loss):
-                    path = os.path.join(cfg.out_dir, "diverged.fpck")
-                    save_checkpoint(path, it, _model_blocks(net, opt),
-                                    config_text, master.bit_generator.state)
-                    raise TrainingDiverged(
-                        "loss became non-finite at iteration %d" % it,
-                        checkpoint_path=path)
-                train_acc = float(
-                    (np.argmax(logits, axis=1) == labels).mean())
-                net.backward(dlogits)
-                opt.step()
-                bank.clamp_locations()
-                eval_text = ""
-                if test_ds is not None and cfg.eval_every \
-                        and it % cfg.eval_every == 0:
-                    eval_text = "%.6f" % evaluate_network(
-                        net, test_ds, cache, cfg).accuracy
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-                metrics.write("%d,%.9g,%.6f,%s,%.3f\n"
-                              % (it, loss, train_acc, eval_text, wall_ms))
-                if cfg.checkpoint_every and it % cfg.checkpoint_every == 0:
-                    save_checkpoint(
-                        os.path.join(cfg.out_dir, "ckpt_%06d.fpck" % it),
-                        it, _model_blocks(net, opt), config_text,
-                        master.bit_generator.state)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    jobs.append((index, None, 0))
+            fields, = _views_ahead(build_view, [jobs], cfg.pipeline_workers)
+            opt.zero_grads()
+            logits = net.forward(fields, train=True, rng=dropout_rng)
+            loss, dlogits = softmax_cross_entropy(logits, labels)
+            if not np.isfinite(loss):
+                path = os.path.join(cfg.out_dir, "diverged.fpck")
+                save_checkpoint(path, it, _model_blocks(net, opt),
+                                config_text, master.bit_generator.state)
+                raise TrainingDiverged(
+                    "loss became non-finite at iteration %d" % it,
+                    checkpoint_path=path)
+            train_acc = float(
+                (np.argmax(logits, axis=1) == labels).mean())
+            net.backward(dlogits)
+            opt.step()
+            bank.clamp_locations()
+            eval_text = ""
+            if test_ds is not None and cfg.eval_every \
+                    and it % cfg.eval_every == 0:
+                eval_text = "%.6f" % evaluate_network(
+                    net, test_ds, cache, cfg).accuracy
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            metrics.write("%d,%.9g,%.6f,%s,%.3f\n"
+                          % (it, loss, train_acc, eval_text, wall_ms))
+            if cfg.checkpoint_every and it % cfg.checkpoint_every == 0:
+                save_checkpoint(
+                    os.path.join(cfg.out_dir, "ckpt_%06d.fpck" % it),
+                    it, _model_blocks(net, opt), config_text,
+                    master.bit_generator.state)
 
     accuracy, confusion = float("nan"), None
     if test_ds is not None:
@@ -816,50 +803,42 @@ def fine_tune(donor_checkpoint, cfg: TrainConfig,
     return train(cfg, donor=donor_checkpoint, trainable=trainable)
 
 
-def _open_model(checkpoint_path):
+def _open_checkpoint(checkpoint_path, manifest_path, cache_dir):
+    """A saved model with its config, the manifest read at the model's
+    resolution and classes, and a field cache for its channels."""
     ck = load_checkpoint(checkpoint_path)
     cfg = TrainConfig.from_text(ck.config_text)
-    net, bank, probing = build_model(cfg)
+    net, _, _ = build_model(cfg)
     load_model_state(net, ck)
-    return ck, cfg, net
+    dataset = ShapeDataset(manifest_path, cfg.resolution,
+                           class_count=cfg.classes)
+    cache = FieldCache(cache_dir or None, cfg.resolution, cfg.channels,
+                       cfg.samples_per_area)
+    return cfg, net, dataset, cache
 
 
 def evaluate_checkpoint(checkpoint_path, manifest_path, perturb="",
                         cache_dir=""):
     """Accuracy and confusion of a saved model over a manifest."""
-    ck, cfg, net = _open_model(checkpoint_path)
-    dataset = ShapeDataset(manifest_path, cfg.resolution,
-                           class_count=cfg.classes)
-    cache = FieldCache(cache_dir or None, cfg.resolution, cfg.channels,
-                       cfg.samples_per_area)
+    cfg, net, dataset, cache = _open_checkpoint(checkpoint_path,
+                                                manifest_path, cache_dir)
     modes = parse_perturbation_modes(perturb) if perturb else ()
     return evaluate_network(net, dataset, cache, cfg, perturb=modes)
 
 
 def extract_features(checkpoint_path, manifest_path, out_path, cache_dir=""):
     """Dump per-sample activations entering the final FC layer as CSV."""
-    ck, cfg, net = _open_model(checkpoint_path)
-    dataset = ShapeDataset(manifest_path, cfg.resolution,
-                           class_count=cfg.classes)
-    cache = FieldCache(cache_dir or None, cfg.resolution, cfg.channels,
-                       cfg.samples_per_area)
-    body = net.layers[:-1]
-    rows = []
-    width = None
-    for start in range(0, len(dataset), 64):
-        stop = min(start + 64, len(dataset))
-        fields = [cache.field_for(dataset, i) for i in range(start, stop)]
-        x = fields
-        for layer in body:
-            x = layer.forward(x, train=False)
-        width = x.shape[1]
-        for offset, index in enumerate(range(start, stop)):
-            rows.append((dataset.id(index), dataset.label(index), x[offset]))
+    cfg, net, dataset, cache = _open_checkpoint(checkpoint_path,
+                                                manifest_path, cache_dir)
+    body = Network(net.layers[:-1])
+    features = np.concatenate(
+        [x for _, x in _forward_dataset(body, dataset, cache, cfg)])
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write("id,label," +
-                     ",".join("f%d" % i for i in range(width)) + "\n")
-        for sample_id, label, feats in rows:
-            handle.write("%s,%d,%s\n" % (sample_id, label,
+                     ",".join("f%d" % i for i in range(features.shape[1]))
+                     + "\n")
+        for index, feats in enumerate(features):
+            handle.write("%s,%d,%s\n" % (dataset.id(index), dataset.label(index),
                                          ",".join("%.9g" % v for v in feats)))
     return out_path
 

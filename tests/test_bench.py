@@ -220,13 +220,6 @@ class TestRunBench:
         with pytest.raises(ValueError, match="resolution"):
             tiny_bench(resolutions=[])
 
-    def test_parallel_workers_reported_separately(self):
-        report = tiny_bench(resolutions=[8], workers=2)
-        kinds = {row.kind for row in report.rows}
-        assert kinds == {"probing@2", "conv@2"}
-        for row in report.rows:
-            assert row.mean_ms > 0.0
-
     def test_every_resolution_runs_before_timing(self, monkeypatch):
         # the first row timed on a cold heap reads slow, so no sample may
         # be taken before every resolution's kernels have run

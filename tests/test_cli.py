@@ -202,6 +202,10 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(["bench", "--mode", "adaptive"])
 
+    def test_workers_is_usage_error(self):
+        with pytest.raises(SystemExit):
+            main(["bench", "--workers", "2"])
+
 
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit):

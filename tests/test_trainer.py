@@ -133,6 +133,8 @@ class TestTrainConfig:
         (dict(samples_per_area=0.0), "samples_per_area"),
         (dict(augmentation="R15+T03"), "unknown perturbation"),
         (dict(pipeline_workers=0), "pipeline_workers"),
+        (dict(batch_size=0), "batch_size"),
+        (dict(max_iterations=-1), "max_iterations"),
     ])
     def test_validation(self, kwargs, hint):
         with pytest.raises(ValueError, match=hint):
