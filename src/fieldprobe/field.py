@@ -92,21 +92,49 @@ class Field3D:
         return self._gradients
 
 
+def _squared_distances(occ: OccupancyGrid) -> np.ndarray:
+    """Exact squared Euclidean distance, int32 (R, R, R), from every voxel
+    to its nearest occupied voxel. scipy's feature transform gives each
+    voxel's nearest site; the offsets to it are taken, squared and summed
+    in place in that transform's own int32 buffer, so no coordinate grid
+    or wider temporary is made. 3(R-1)^2 fits int32 for every R <= 4096."""
+    if not occ.bits.any():
+        raise ValueError("distance transform of an empty grid is undefined")
+    # edt measures distance to the nearest False voxel, so pass the complement
+    idx = ndimage.distance_transform_edt(~occ.bits, return_distances=False, return_indices=True)
+    ramp = np.arange(occ.resolution, dtype=idx.dtype)
+    idx[0] -= ramp[:, None, None]
+    idx[1] -= ramp[:, None]
+    idx[2] -= ramp
+    np.square(idx, out=idx)
+    sq = idx[0]
+    sq += idx[1]
+    sq += idx[2]
+    return sq
+
+
 def squared_distance_transform(occ: OccupancyGrid) -> np.ndarray:
     """Exact squared Euclidean distance (int64) from every voxel to its
     nearest occupied voxel. Computed from the nearest-site index map so the
     result is integer arithmetic, not a rounded float."""
-    if occ.occupied_count == 0:
-        raise ValueError("distance transform of an empty grid is undefined")
-    # edt measures distance to the nearest False voxel, so pass the complement
-    idx = ndimage.distance_transform_edt(~occ.bits, return_distances=False, return_indices=True)
-    coords = np.indices(occ.bits.shape, dtype=np.int64)
-    return ((idx.astype(np.int64) - coords) ** 2).sum(axis=0)
+    return _squared_distances(occ).astype(np.int64)
 
 
-def distance_field(occ: OccupancyGrid) -> np.ndarray:
-    """Euclidean distance to the nearest occupied voxel, float64 (R, R, R)."""
-    return np.sqrt(squared_distance_transform(occ).astype(np.float64))
+def distance_field(occ: OccupancyGrid, dtype=np.float64) -> np.ndarray:
+    """Euclidean distance to the nearest occupied voxel, (R, R, R) in
+    `dtype`: the correctly rounded square root of the exact squared
+    distance in either width. A float32 root is taken directly while every
+    squared distance, at most 3(R-1)^2, is an integer float32 holds exactly
+    (up to 2^24, so R <= 2365). It then has the same bits as the float64
+    root cast to float32, because 53 >= 2*24 + 2 bits make that double
+    rounding harmless for square roots. Past that, the root is taken in
+    float64 and cast."""
+    # allocated ahead of the transform's scratch, so that a field kept in a
+    # cache does not pin the heap above that scratch once it is freed
+    out = np.empty(occ.bits.shape, dtype=dtype)
+    sq = _squared_distances(occ)
+    exact32 = out.dtype == np.float32 and 3 * (occ.resolution - 1) ** 2 <= 2**24
+    return np.sqrt(sq, dtype=np.float32 if exact32 else np.float64, out=out)
 
 
 def normal_field(distance: np.ndarray) -> np.ndarray:

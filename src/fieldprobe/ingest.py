@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, compress
 
 import numpy as np
 
@@ -99,19 +100,18 @@ class OccupancyGrid:
         return self.occupied_count / self.bits.size
 
 
-def _tokens(data: bytes):
-    """Split raw bytes into (line_number, token_list) pairs, skipping blank
-    and comment lines. Line numbers are 1-based positions in the raw file."""
+def _rows(data: bytes):
+    """Tokenize raw bytes once: the token lists of the non-blank lines, and
+    their 1-based line numbers in the raw file. `#` starts a comment."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not a text file: {exc}") from None
-    out = []
-    for num, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            out.append((num, body.split()))
-    return out
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    rows = list(map(str.split, lines))
+    return list(compress(rows, rows)), list(compress(range(1, len(rows) + 1), rows))
 
 
 def _floats(tokens, count, line):
@@ -123,48 +123,40 @@ def _floats(tokens, count, line):
         raise ParseError(str(exc), line=line) from None
 
 
-def parse_off(data: bytes) -> ShapeSample:
-    """Parse an ASCII OFF mesh. The "OFF" keyword line is optional; counts may
-    share its line (a common quirk of shipped datasets). Polygons with more
-    than three vertices are fan-triangulated."""
-    lines = _tokens(data)
-    if not lines:
-        raise ParseError("empty file")
+def _point_rows(rows, numbers):
+    """(M, 3) float64 points from x y z token rows. A block whose rows all
+    hold exactly three tokens converts in one call; any other block (extra
+    columns, or a bad value to report with its line) is read row by row."""
+    if set(map(len, rows)) <= {3}:
+        try:
+            flat = np.fromiter(map(float, chain.from_iterable(rows)), np.float64, 3 * len(rows))
+        except ValueError:
+            pass
+        else:
+            return flat.reshape(-1, 3)
+    points = np.empty((len(rows), 3), dtype=np.float64)
+    for i, (toks, line) in enumerate(zip(rows, numbers)):
+        points[i] = _floats(toks, 3, line)
+    return points
 
-    cursor = 0
-    line, toks = lines[cursor]
-    if toks[0].upper().startswith("OFF"):
-        rest = toks[0][3:]
-        toks = ([rest] if rest else []) + toks[1:]
-        if not toks:
-            cursor += 1
-            if cursor >= len(lines):
-                raise ParseError("missing count line after OFF header", line=line)
-            line, toks = lines[cursor]
-    try:
-        counts = [int(t) for t in toks[:3]]
-    except ValueError:
-        raise ParseError(f"malformed header: {' '.join(toks[:3])!r}", line=line) from None
-    if len(counts) < 2:
-        raise ParseError("malformed header: need vertex and face counts", line=line)
-    nv, nf = counts[0], counts[1]
-    if nv <= 0:
-        raise ParseError("no points", line=line)
-    cursor += 1
 
-    if len(lines) - cursor < nv:
-        raise ParseError(f"truncated: expected {nv} vertex lines, found {len(lines) - cursor}")
-    vertices = np.empty((nv, 3), dtype=np.float64)
-    for i in range(nv):
-        line, toks = lines[cursor + i]
-        vertices[i] = _floats(toks, 3, line)
-    cursor += nv
-
-    if len(lines) - cursor < nf:
-        raise ParseError(f"truncated: expected {nf} face lines, found {len(lines) - cursor}")
+def _face_rows(rows, numbers, nv):
+    """(F, 3) int64 triangles from OFF polygon rows "k i_1 .. i_k". A
+    block of plain triangles, "3 a b c" on every row with every index in
+    range, converts in one call; any other block is read row by row, with
+    polygons fan-triangulated and errors reported with their line."""
+    if set(map(len, rows)) <= {4}:
+        try:
+            flat = np.fromiter(map(int, chain.from_iterable(rows)), np.int64, 4 * len(rows))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            flat = flat.reshape(-1, 4)
+            idx = flat[:, 1:]
+            if (flat[:, 0] == 3).all() and ((idx >= 0) & (idx < nv)).all():
+                return np.ascontiguousarray(idx)
     tris = []
-    for i in range(nf):
-        line, toks = lines[cursor + i]
+    for toks, line in zip(rows, numbers):
         try:
             k = int(toks[0])
             idx = [int(t) for t in toks[1 : 1 + k]]
@@ -177,20 +169,55 @@ def parse_off(data: bytes) -> ShapeSample:
                 raise ParseError(f"face index {v} out of range (vertex count {nv})", line=line)
         for a, b in zip(idx[1:-1], idx[2:]):
             tris.append((idx[0], a, b))
+    return np.asarray(tris, dtype=np.int64).reshape(-1, 3)
 
-    faces = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+
+def parse_off(data: bytes) -> ShapeSample:
+    """Parse an ASCII OFF mesh. The "OFF" keyword line is optional; counts may
+    share its line (a common quirk of shipped datasets). Polygons with more
+    than three vertices are fan-triangulated."""
+    rows, numbers = _rows(data)
+    if not rows:
+        raise ParseError("empty file")
+
+    cursor = 0
+    line, toks = numbers[cursor], rows[cursor]
+    if toks[0].upper().startswith("OFF"):
+        rest = toks[0][3:]
+        toks = ([rest] if rest else []) + toks[1:]
+        if not toks:
+            cursor += 1
+            if cursor >= len(rows):
+                raise ParseError("missing count line after OFF header", line=line)
+            line, toks = numbers[cursor], rows[cursor]
+    try:
+        counts = [int(t) for t in toks[:3]]
+    except ValueError:
+        raise ParseError(f"malformed header: {' '.join(toks[:3])!r}", line=line) from None
+    if len(counts) < 2:
+        raise ParseError("malformed header: need vertex and face counts", line=line)
+    nv, nf = counts[0], counts[1]
+    if nv <= 0:
+        raise ParseError("no points", line=line)
+    cursor += 1
+
+    if len(rows) - cursor < nv:
+        raise ParseError(f"truncated: expected {nv} vertex lines, found {len(rows) - cursor}")
+    vertices = _point_rows(rows[cursor : cursor + nv], numbers[cursor : cursor + nv])
+    cursor += nv
+
+    if len(rows) - cursor < nf:
+        raise ParseError(f"truncated: expected {nf} face lines, found {len(rows) - cursor}")
+    faces = _face_rows(rows[cursor : cursor + nf], numbers[cursor : cursor + nf], nv)
     return ShapeSample(vertices, faces)
 
 
 def parse_xyz(data: bytes) -> ShapeSample:
     """Parse a whitespace-separated point cloud, one x y z triple per line."""
-    lines = _tokens(data)
-    if not lines:
+    rows, numbers = _rows(data)
+    if not rows:
         raise ParseError("no points")
-    points = np.empty((len(lines), 3), dtype=np.float64)
-    for i, (line, toks) in enumerate(lines):
-        points[i] = _floats(toks, 3, line)
-    return ShapeSample(points, np.empty((0, 3), dtype=np.int64))
+    return ShapeSample(_point_rows(rows, numbers), np.empty((0, 3), dtype=np.int64))
 
 
 def write_off(shape: ShapeSample) -> bytes:
@@ -360,18 +387,20 @@ def _sample_surface(shape: ShapeSample, samples_per_area: float, rng: np.random.
     u = rng.random(total)
     v = rng.random(total)
     flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
+    np.subtract(1.0, u, out=u, where=flip)
+    np.subtract(1.0, v, out=v, where=flip)
     # corner + u*e1 + v*e2, summed in that order in place over each
     # triangle's repeated rows; addition commutes exactly, so the points
-    # are bit-identical to gathering the rows by a per-point triangle index
-    points = np.repeat(e1, counts, axis=0)
-    points *= u[:, None]
-    points += np.repeat(tri[:, 0], counts, axis=0)
-    edge = np.repeat(e2, counts, axis=0)
-    edge *= v[:, None]
+    # are bit-identical to gathering the rows by a per-point triangle index.
+    # The coordinates are built as three contiguous rows and handed out as
+    # an (M, 3) view, so voxelize reads each axis contiguously.
+    points = np.repeat(e1.T, counts, axis=1)
+    points *= u
+    points += np.repeat(tri[:, 0].T, counts, axis=1)
+    edge = np.repeat(e2.T, counts, axis=1)
+    edge *= v
     points += edge
-    return points
+    return points.T
 
 
 def voxelize(
@@ -389,13 +418,18 @@ def voxelize(
         pts = _sample_surface(shape, samples_per_area, np.random.default_rng(seed))
     else:
         pts = shape.vertices
-    idx = np.floor(pts + 0.5).astype(np.int64)
-    inside = np.all((idx >= 0) & (idx < resolution), axis=1)
-    idx = idx[inside]
-    if idx.shape[0] == 0:
+    # per axis, x y z rows: the nearest voxel centre, and whether it is
+    # inside (a negative index reads as a huge unsigned one)
+    idx = pts.T + 0.5
+    np.floor(idx, out=idx)
+    idx = idx.astype(np.int64)
+    inside = idx.view(np.uint64) < resolution
+    inside = inside[0] & inside[1] & inside[2]
+    if not inside.any():
         raise ValueError("voxelization produced an empty grid")
+    x, y, z = idx[:, inside]
     bits = np.zeros((resolution, resolution, resolution), dtype=bool)
-    bits[idx[:, 2], idx[:, 1], idx[:, 0]] = True
+    bits[z, y, x] = True
     return OccupancyGrid(resolution, bits)
 
 

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import FormatError, TrainingDiverged
+from .errors import FormatError, ParseError, TrainingDiverged
 from .field import (
     Field3D,
     ROLE_DISTANCE,
@@ -189,7 +189,11 @@ class TrainConfig:
         for field in dataclasses.fields(cls):
             name = field.type if isinstance(field.type, str) else field.type.__name__
             types[field.name] = coerce[name]
-        return cls(**parse_key_values(text, types))
+        values = parse_key_values(text, types)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
 
     @classmethod
     def from_file(cls, path):
@@ -271,7 +275,7 @@ class ShapeDataset:
 def build_field(occ, channels):
     """Distance-only or distance-plus-normals field stack, float32."""
     if channels == "distance":
-        values = distance_field(occ).astype(np.float32)[None]
+        values = distance_field(occ, np.float32)[None]
         return Field3D(values, np.array([ROLE_DISTANCE], dtype=np.uint8))
     return field_from_occupancy(occ)
 
@@ -300,7 +304,9 @@ class FieldCache:
     on disk. Perturbed views are never cached: each one follows its own
     perturbation draw, so no view is read twice. Building them (voxelize
     plus EDT) is most of an augmented training step; `train` and
-    `evaluate_network` spread it over `pipeline_workers` threads.
+    `evaluate_network` spread it over `pipeline_workers` threads. The
+    numpy work of a view runs on every thread, but scipy's C feature
+    transform holds the GIL, and it is now the floor of a perturbed view.
 
     A disk entry that fails to parse, such as a truncated copy, is
     rebuilt and rewritten."""

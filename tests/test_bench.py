@@ -248,7 +248,8 @@ class TestRunBench:
 
     def test_csv_layout(self, report, tmp_path):
         path = report.to_csv(tmp_path / "bench.csv")
-        lines = open(path, "r", encoding="utf-8").read().splitlines()
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         assert lines[0].startswith("# ")
         assert "numpy" in lines[0]
         assert lines[1] == BENCH_HEADER

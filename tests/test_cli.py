@@ -142,7 +142,8 @@ class TestExtractFeatures:
                      "--manifest", str(workspace / "data" / "test.tsv"),
                      "--out", out])
         assert code == 0
-        lines = open(out, "r", encoding="utf-8").read().splitlines()
+        with open(out, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         assert lines[0].startswith("id,label,f0,")
         assert len(lines) == 1 + 6
 
@@ -193,7 +194,8 @@ class TestBench:
                      "--kernel", "2", "--conv-channels", "2",
                      "--out", out])
         assert code == 0
-        lines = open(out, "r", encoding="utf-8").read().splitlines()
+        with open(out, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         assert lines[1] == "resolution,kind,mean_ms,std_ms,macs,bytes"
         assert len(lines) == 2 + 4
         assert "wrote" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from fieldprobe.errors import FormatError
 from fieldprobe.field import (
@@ -21,6 +22,7 @@ from fieldprobe.field import (
     write_field,
 )
 from fieldprobe.ingest import OccupancyGrid
+from fieldprobe.trainer import build_field
 
 
 def occupancy_from_coords(r, coords):
@@ -98,6 +100,63 @@ class TestSquaredDistance:
             assert gap <= np.linalg.norm(u - v) + 1e-9
 
 
+def distance_grids(r, rng):
+    """Random grids, a single corner voxel (the largest distances) and a
+    full grid (all zero), at resolution r."""
+    corner = np.zeros((r, r, r), dtype=bool)
+    corner[0, 0, 0] = True
+    grids = [random_occupancy(r, rng, fill) for fill in (0.002, 0.05)]
+    return grids + [OccupancyGrid(r, corner), OccupancyGrid(r, np.ones((r, r, r), dtype=bool))]
+
+
+def reference_squared(occ):
+    """The old formula: nearest-site indices minus an int64 coordinate
+    grid, squared and summed in int64."""
+    idx = ndimage.distance_transform_edt(~occ.bits, return_distances=False, return_indices=True)
+    coords = np.indices(occ.bits.shape, dtype=np.int64)
+    return ((idx.astype(np.int64) - coords) ** 2).sum(axis=0)
+
+
+class TestDistanceWidths:
+    """Both widths of `distance_field` against the old formula: the float64
+    square root of the int64 squared distance, cast afterwards."""
+
+    @pytest.mark.parametrize("r", [8, 16, 32, 64])
+    def test_float32_matches_float64_root_cast(self, r):
+        rng = np.random.default_rng(r)
+        for occ in distance_grids(r, rng):
+            sq = reference_squared(occ)
+            np.testing.assert_array_equal(squared_distance_transform(occ), sq)
+            expected = np.sqrt(sq.astype(np.float64)).astype(np.float32)
+            got = distance_field(occ, np.float32)
+            assert got.dtype == np.float32
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("r", [8, 16, 32, 64])
+    def test_float64_matches_root_of_int64(self, r):
+        rng = np.random.default_rng(100 + r)
+        for occ in distance_grids(r, rng):
+            expected = np.sqrt(reference_squared(occ).astype(np.float64))
+            assert distance_field(occ).tobytes() == expected.tobytes()
+
+    def test_float32_root_exact_for_every_integer_to_2_24(self):
+        # the float32 root is taken directly while 3(R-1)^2 <= 2^24; over
+        # that whole range it equals the float64 root cast to float32
+        step = 1 << 20
+        for start in range(0, (1 << 24) + 1, step):
+            n = np.arange(start, min(start + step, (1 << 24) + 1), dtype=np.int32)
+            direct = np.sqrt(n, dtype=np.float32)
+            assert np.array_equal(direct, np.sqrt(n.astype(np.float64)).astype(np.float32))
+
+    def test_build_field_distance_bytes(self):
+        rng = np.random.default_rng(5)
+        occ = random_occupancy(32, rng, 0.01)
+        field = build_field(occ, "distance")
+        expected = np.sqrt(reference_squared(occ).astype(np.float64)).astype(np.float32)
+        assert field.values.dtype == np.float32
+        assert field.values.tobytes() == expected[None].tobytes()
+
+
 class TestNormalField:
     def test_single_plane_points_away(self):
         occ = OccupancyGrid(8, np.zeros((8, 8, 8), dtype=bool))
@@ -154,6 +213,21 @@ class TestField3D:
         np.testing.assert_allclose(gx[:, :, 0], 1.0)  # one-sided: 1 - 0
         np.testing.assert_allclose(gx[:, :, -1], 2 * r - 3.0)
         np.testing.assert_allclose(fld.gradients[0, 1:], 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t", [1, 4])
+    @pytest.mark.parametrize("r", [2, 3, 33])
+    def test_block_matches_np_gradient_bitwise(self, dtype, t, r):
+        rng = np.random.default_rng(7 * r + t)
+        vals = rng.standard_normal((t, r, r, r)).astype(dtype)
+        fld = Field3D(vals.copy(), [ROLE_GENERIC] * t)
+        grads = fld.gradients
+        assert grads.dtype == dtype
+        for c in range(t):
+            gz, gy, gx = np.gradient(vals[c])
+            for component, expected in enumerate((gx, gy, gz)):
+                assert grads[c, component].tobytes() == expected.tobytes()
+        assert fld.values.tobytes() == vals.tobytes()
 
     def test_values_and_gradients_share_one_block(self):
         rng = np.random.default_rng(43)

@@ -24,6 +24,7 @@ from fieldprobe.ingest import (
     write_off,
     write_xyz,
 )
+from fieldprobe.synthetic import SyntheticSpec, generate_synthetic
 
 CUBE_OFF = b"""OFF
 8 6 12
@@ -42,6 +43,154 @@ CUBE_OFF = b"""OFF
 4 2 6 7 3
 4 3 7 4 0
 """
+
+
+def reference_rows(data):
+    """The per-line tokenizer parse_off and parse_xyz replaced: (line
+    number, tokens) of every non-blank line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not a text file: {exc}") from None
+    out = []
+    for num, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            out.append((num, body.split()))
+    return out
+
+
+def reference_floats(tokens, count, line):
+    if len(tokens) < count:
+        raise ParseError(f"expected {count} values, got {len(tokens)}", line=line)
+    try:
+        return [float(t) for t in tokens[:count]]
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line) from None
+
+
+def reference_parse_off(data):
+    """The per-line OFF parser that parse_off replaced, kept as its oracle."""
+    lines = reference_rows(data)
+    if not lines:
+        raise ParseError("empty file")
+    cursor = 0
+    line, toks = lines[cursor]
+    if toks[0].upper().startswith("OFF"):
+        rest = toks[0][3:]
+        toks = ([rest] if rest else []) + toks[1:]
+        if not toks:
+            cursor += 1
+            if cursor >= len(lines):
+                raise ParseError("missing count line after OFF header", line=line)
+            line, toks = lines[cursor]
+    try:
+        counts = [int(t) for t in toks[:3]]
+    except ValueError:
+        raise ParseError(f"malformed header: {' '.join(toks[:3])!r}", line=line) from None
+    if len(counts) < 2:
+        raise ParseError("malformed header: need vertex and face counts", line=line)
+    nv, nf = counts[0], counts[1]
+    if nv <= 0:
+        raise ParseError("no points", line=line)
+    cursor += 1
+    if len(lines) - cursor < nv:
+        raise ParseError(f"truncated: expected {nv} vertex lines, found {len(lines) - cursor}")
+    vertices = np.empty((nv, 3), dtype=np.float64)
+    for i in range(nv):
+        line, toks = lines[cursor + i]
+        vertices[i] = reference_floats(toks, 3, line)
+    cursor += nv
+    if len(lines) - cursor < nf:
+        raise ParseError(f"truncated: expected {nf} face lines, found {len(lines) - cursor}")
+    tris = []
+    for i in range(nf):
+        line, toks = lines[cursor + i]
+        try:
+            k = int(toks[0])
+            idx = [int(t) for t in toks[1 : 1 + k]]
+        except ValueError as exc:
+            raise ParseError(str(exc), line=line) from None
+        if k < 3 or len(idx) < k:
+            raise ParseError(f"face needs at least 3 indices, got {k}", line=line)
+        for v in idx:
+            if not 0 <= v < nv:
+                raise ParseError(f"face index {v} out of range (vertex count {nv})", line=line)
+        for a, b in zip(idx[1:-1], idx[2:]):
+            tris.append((idx[0], a, b))
+    return ShapeSample(vertices, np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+
+
+def reference_parse_xyz(data):
+    lines = reference_rows(data)
+    if not lines:
+        raise ParseError("no points")
+    points = np.empty((len(lines), 3), dtype=np.float64)
+    for i, (line, toks) in enumerate(lines):
+        points[i] = reference_floats(toks, 3, line)
+    return ShapeSample(points, np.empty((0, 3), dtype=np.int64))
+
+
+def same_shape(a, b):
+    return (a.vertices.dtype == b.vertices.dtype and a.faces.dtype == b.faces.dtype
+            and a.vertices.shape == b.vertices.shape and a.faces.shape == b.faces.shape
+            and a.vertices.tobytes() == b.vertices.tobytes()
+            and a.faces.tobytes() == b.faces.tobytes())
+
+
+def outcome(parse, data):
+    """The parsed shape, or the ParseError's message and line."""
+    try:
+        return parse(data)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+# valid inputs off the plain layout: comments, OFF3, quads and polygons,
+# CRLF and CR line ends, blank lines, tabs, extra columns, trailing lines
+VALID_OFF = [
+    CUBE_OFF,
+    CUBE_OFF.replace(b"\n", b"\r\n"),
+    CUBE_OFF.replace(b"\n", b"\r"),
+    b"OFF3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    b"# comment\nOFF\n\n3 1 0\n0 0 0\n# mid\n1 0 0\n0 1 0\n3 0 1 2\n",
+    b"OFF # header comment\n3 1 0 # counts\n0 0 0 # a\n1 0 0\n0 1 0\n3 0 1 2 # face\n",
+    b"OFF 4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n",
+    b"OFF\n5 1 0\n0 0 0\n1 0 0\n1 1 0\n0.5 1.5 0\n0 1 0\n5 0 1 2 3 4\n",
+    b"OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n4 0 1 2 3\n",
+    b"OFF\n3 1 0\n0 0 0 0.5 0.5 0.5\n1 0 0 1 1 1\n0 1 0 0 0 0\n3 0 1 2 0.25 0.5 0.75\n",
+    b"OFF\n3 1 0\n\t0\t0  0 \n 1e0 -0.0 +0\n0 1_0 inf\n\n  3   0 1 2  \n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 2 1 0\nleftover lines\nare ignored\n",
+    b"OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n",
+    b"3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+]
+
+# every malformed input: the message and the line must not change
+MALFORMED_OFF = [
+    b"",
+    b"# only a comment\n\n",
+    b"OFF\n",
+    b"OFF\nthree 1 0\n",
+    b"OFF\n3\n",
+    b"OFF\n0 0 0\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n",
+    b"OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 nope\n0 1 0\n3 0 1 2\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0\n0 1 0 0\n3 0 1 2\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 -1 2\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1 2\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 x 2\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\nthree 0 1 2\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n",
+    b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n99999999999999999999 0 1 2\n",
+    b"OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1 3\n",
+    b"OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n3 0 1 x\n",
+    b"\xff\xfe\x00\x01",
+]
 
 
 def unit_quad(z=0.0):
@@ -106,6 +255,39 @@ class TestParseOff:
     def test_non_utf8(self):
         with pytest.raises(ParseError, match="not a text"):
             parse_off(b"\xff\xfe\x00\x01")
+
+
+class TestParseOffAgainstReference:
+    def test_generated_files(self, tmp_path):
+        generate_synthetic(SyntheticSpec(train_per_class=2, test_per_class=1, seed=4),
+                           str(tmp_path))
+        paths = sorted((tmp_path / "shapes").glob("*.off"))
+        assert len(paths) >= 10
+        for path in paths:
+            data = path.read_bytes()
+            assert same_shape(parse_off(data), reference_parse_off(data)), path.name
+
+    @pytest.mark.parametrize("data", VALID_OFF)
+    def test_valid_inputs(self, data):
+        assert same_shape(parse_off(data), reference_parse_off(data))
+
+    @pytest.mark.parametrize("data", MALFORMED_OFF)
+    def test_malformed_inputs_keep_message_and_line(self, data):
+        expected = outcome(reference_parse_off, data)
+        assert isinstance(expected, tuple)
+        assert outcome(parse_off, data) == expected
+
+    @pytest.mark.parametrize("data", [
+        b"0 0 0\n1.5 2 -3\n", b"1 2 3 0.5 0.5 0.7\n", b"# c\n\n1 2 3\r\n4 5 6\r\n",
+        b"0 0 0\n1 2\n", b"0 0 0\n1 2 z\n", b"# only a comment\n",
+    ])
+    def test_xyz_inputs(self, data):
+        expected = outcome(reference_parse_xyz, data)
+        got = outcome(parse_xyz, data)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert same_shape(got, expected)
 
 
 class TestParseXyz:
@@ -330,6 +512,41 @@ class TestVoxelize:
                 if x_overlap > 0 and y_overlap > 0:
                     expected[8, iy, ix] = True
         np.testing.assert_array_equal(occ.bits, expected)
+
+    def test_binning_matches_row_formula(self):
+        # the old binning, per point row: round to the nearest centre, keep
+        # in-grid rows, scatter; points leave the grid on every side here
+        rng = np.random.default_rng(37)
+        r = 16
+        v = rng.uniform(-4.0, r + 4.0, size=(30, 3))
+        f = rng.integers(0, 30, size=(40, 3))
+        for faces in (f, np.empty((0, 3))):
+            shape = ShapeSample(v, faces, frame=GridFrame(r, 2))
+            pts = _sample_surface(shape, 4.0, np.random.default_rng(3)) if len(faces) else v
+            idx = np.floor(pts + 0.5).astype(np.int64)
+            idx = idx[np.all((idx >= 0) & (idx < r), axis=1)]
+            expected = np.zeros((r, r, r), dtype=bool)
+            expected[idx[:, 2], idx[:, 1], idx[:, 0]] = True
+            assert 0 < expected.sum() < len(pts)
+            got = voxelize(shape, r, samples_per_area=4.0, seed=3)
+            np.testing.assert_array_equal(got.bits, expected)
+
+    def test_flip_matches_mask_assignment(self):
+        # u + v > 1 folds back into the triangle: u, v -> 1 - u, 1 - v,
+        # against the boolean-mask assignment it replaced
+        v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        shape = ShapeSample(v, [[0, 1, 2]], frame=GridFrame(16, 2))
+        got = _sample_surface(shape, 4000.0, np.random.default_rng(11))
+        draw = np.random.default_rng(11)
+        u = draw.random(len(got))
+        w = draw.random(len(got))
+        flip = u + w > 1.0
+        assert 0.4 < flip.mean() < 0.6
+        u[flip] = 1.0 - u[flip]
+        w[flip] = 1.0 - w[flip]
+        assert got[:, 0].tobytes() == u.tobytes()
+        assert got[:, 1].tobytes() == w.tobytes()
+        assert not got[:, 2].any()
 
     def test_deterministic_for_seed(self):
         shape = normalize(parse_off(CUBE_OFF), 16)

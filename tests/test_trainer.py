@@ -59,6 +59,21 @@ def mini_config(workbench, out_dir, **overrides):
     return TrainConfig(**base)
 
 
+def read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def write_bytes(path, data):
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+def read_text(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 @pytest.fixture(scope="module")
 def mini_run(workbench, tmp_path_factory):
     out = tmp_path_factory.mktemp("mini_run")
@@ -140,6 +155,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=hint):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("text,hint", [
+        ("resolution=4\n", "resolution must be >= 8"),
+        ("seed=1\npipeline_workers=0\n", "pipeline_workers must be >= 1"),
+    ])
+    def test_range_error_in_text_is_parse_error(self, text, hint):
+        # the same kind of error SyntheticSpec.from_text reports
+        with pytest.raises(ParseError, match=hint):
+            TrainConfig.from_text(text)
+
     def test_from_file_resolves_relative_paths(self, workbench, tmp_path):
         rel_train = os.path.relpath(workbench["train"], tmp_path)
         rel_test = os.path.relpath(workbench["test"], tmp_path)
@@ -208,13 +232,13 @@ class TestFieldCache:
         FieldCache(str(tmp_path), 32, "distance").field_for(ds, 0)
         [name] = os.listdir(tmp_path)
         path = os.path.join(str(tmp_path), name)
-        whole = open(path, "rb").read()
+        whole = read_bytes(path)
         with open(path, "r+b") as handle:
             handle.truncate(len(whole) // 2)
         rebuilt = FieldCache(str(tmp_path), 32, "distance").field_for(ds, 0)
         assert rebuilt.values.tobytes() == cold.values.tobytes()
         assert os.listdir(tmp_path) == [name]
-        assert open(path, "rb").read() == whole
+        assert read_bytes(path) == whole
 
     def test_key_separates_resolutions(self, workbench, tmp_path):
         ds32 = ShapeDataset(workbench["train"], 32)
@@ -366,13 +390,13 @@ class TestCheckpointFormat:
                  "has_uint32": 0, "uinteger": 0}
         save_checkpoint(a, 1, self.blocks(), "x=1\n", state)
         save_checkpoint(b, 1, self.blocks(), "x=1\n", state)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert read_bytes(a) == read_bytes(b)
 
     def test_byte_layout(self, tmp_path):
         path = str(tmp_path / "x.fpck")
         save_checkpoint(path, 7, {"a": np.array([1.0, 2.0], np.float32)},
                         "k=v\n", {"s": 3})
-        blob = open(path, "rb").read()
+        blob = read_bytes(path)
         assert blob[:4] == b"FPCK"
         version, iteration, count = struct.unpack_from("<IQI", blob, 4)
         assert (version, iteration, count) == (1, 7, 1)
@@ -400,10 +424,10 @@ class TestCheckpointFormat:
         path = str(tmp_path / "x.fpck")
         save_checkpoint(path, 7, {"a": np.array([1.0, 2.0], np.float32)},
                         "k=v\n", {"s": 3})
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(read_bytes(path))
         blob = mutate(blob)
         bad = str(tmp_path / "bad.fpck")
-        open(bad, "wb").write(bytes(blob))
+        write_bytes(bad, bytes(blob))
         return bad
 
     def test_load_rejects_bad_magic(self, tmp_path):
@@ -477,12 +501,10 @@ class TestTrainLoop:
         cfg = mini_config(workbench, tmp_path / "run", max_iterations=20,
                           checkpoint_every=10, eval_every=0)
         train(cfg)
-        first = open(os.path.join(cfg.out_dir, "ckpt_000020.fpck"),
-                     "rb").read()
+        first = read_bytes(os.path.join(cfg.out_dir, "ckpt_000020.fpck"))
         shutil.rmtree(cfg.out_dir)
         train(cfg)
-        again = open(os.path.join(cfg.out_dir, "ckpt_000020.fpck"),
-                     "rb").read()
+        again = read_bytes(os.path.join(cfg.out_dir, "ckpt_000020.fpck"))
         assert first == again
 
     def test_resume_reproduces_uninterrupted_run(self, workbench, tmp_path):
@@ -490,17 +512,14 @@ class TestTrainLoop:
                           checkpoint_every=10, eval_every=0,
                           augmentation="R15+T01+S")
         train(cfg)
-        full = open(os.path.join(cfg.out_dir, "ckpt_000020.fpck"),
-                    "rb").read()
-        mid = open(os.path.join(cfg.out_dir, "ckpt_000010.fpck"),
-                   "rb").read()
+        full = read_bytes(os.path.join(cfg.out_dir, "ckpt_000020.fpck"))
+        mid = read_bytes(os.path.join(cfg.out_dir, "ckpt_000010.fpck"))
         shutil.rmtree(cfg.out_dir)
         os.makedirs(cfg.out_dir)
         midpath = str(tmp_path / "mid.fpck")
-        open(midpath, "wb").write(mid)
+        write_bytes(midpath, mid)
         train(cfg, resume=midpath)
-        resumed = open(os.path.join(cfg.out_dir, "ckpt_000020.fpck"),
-                       "rb").read()
+        resumed = read_bytes(os.path.join(cfg.out_dir, "ckpt_000020.fpck"))
         assert resumed == full
 
     def test_resume_keeps_one_metrics_row_per_iteration(self, workbench,
@@ -530,8 +549,8 @@ class TestTrainLoop:
             test_manifest=os.path.join(copied, "test.tsv"),
             cache_dir=str(tmp_path / "b" / "cache"),
             out_dir=str(tmp_path / "b" / "run"))
-        final = open(train(first).checkpoint_path, "rb").read()
-        assert open(train(second).checkpoint_path, "rb").read() == final
+        final = read_bytes(train(first).checkpoint_path)
+        assert read_bytes(train(second).checkpoint_path) == final
 
         # a moved run directory resumes to the same bytes
         moved = str(tmp_path / "moved")
@@ -539,7 +558,7 @@ class TestTrainLoop:
         os.remove(os.path.join(moved, "final.fpck"))
         resumed = train(dataclasses.replace(first, out_dir=moved),
                         resume=os.path.join(moved, "ckpt_000010.fpck"))
-        assert open(resumed.checkpoint_path, "rb").read() == final
+        assert read_bytes(resumed.checkpoint_path) == final
 
         # a checkpoint whose config text still holds the paths resumes too
         mid = load_checkpoint(os.path.join(moved, "ckpt_000010.fpck"))
@@ -549,7 +568,7 @@ class TestTrainLoop:
                         mid.rng_state)
         resumed = train(dataclasses.replace(first, out_dir=moved),
                         resume=pathful)
-        assert open(resumed.checkpoint_path, "rb").read() == final
+        assert read_bytes(resumed.checkpoint_path) == final
 
     def test_worker_count_does_not_change_results(self, workbench, tmp_path):
         # Randomness is drawn on the main thread before jobs are handed to
@@ -576,11 +595,10 @@ class TestTrainLoop:
         train(cfg)
         full = load_checkpoint(
             os.path.join(cfg.out_dir, "ckpt_000020.fpck"))
-        mid = open(os.path.join(cfg.out_dir, "ckpt_000010.fpck"),
-                   "rb").read()
+        mid = read_bytes(os.path.join(cfg.out_dir, "ckpt_000010.fpck"))
         shutil.rmtree(cfg.out_dir)
         midpath = str(tmp_path / "mid.fpck")
-        open(midpath, "wb").write(mid)
+        write_bytes(midpath, mid)
         wide = dataclasses.replace(cfg, pipeline_workers=3)
         resumed = load_checkpoint(train(wide, resume=midpath).checkpoint_path)
         for name, block in full.blocks.items():
@@ -737,7 +755,7 @@ class TestFeatureExport:
         out = str(tmp_path / "features.csv")
         extract_features(result.checkpoint_path, workbench["test"], out,
                          cache_dir=workbench["cache"])
-        lines = open(out).read().splitlines()
+        lines = read_text(out).splitlines()
         header = lines[0].split(",")
         assert header[:2] == ["id", "label"]
         assert len(header) == 2 + 64
@@ -747,14 +765,14 @@ class TestFeatureExport:
         again = str(tmp_path / "again.csv")
         extract_features(result.checkpoint_path, workbench["test"], again,
                          cache_dir=workbench["cache"])
-        assert open(out).read() == open(again).read()
+        assert read_text(out) == read_text(again)
 
     def test_features_are_final_fc_input(self, workbench, mini_run, tmp_path):
         cfg, result = mini_run
         out = str(tmp_path / "features.csv")
         extract_features(result.checkpoint_path, workbench["test"], out,
                          cache_dir=workbench["cache"])
-        row = open(out).read().splitlines()[1].split(",")
+        row = read_text(out).splitlines()[1].split(",")
         feats = np.array([float(v) for v in row[2:]])
         ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
         cache = FieldCache(workbench["cache"], cfg.resolution, cfg.channels)
