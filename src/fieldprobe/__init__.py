@@ -66,7 +66,6 @@ from .trainer import (
     TrainConfig,
     evaluate_checkpoint,
     extract_features,
-    fine_tune,
     gradient_check_report,
     load_checkpoint,
     save_checkpoint,
@@ -105,7 +104,6 @@ __all__ = [
     "evaluate_checkpoint",
     "extract_features",
     "field_from_occupancy",
-    "fine_tune",
     "gaussian_forward",
     "generate_synthetic",
     "grad_check",

@@ -1,16 +1,17 @@
 """Command-line entry points.
 
 One executable, `fieldprobe`, with a subcommand per workflow step:
-shape-to-field conversion, synthetic dataset generation, training,
-evaluation, feature export, fine-tuning, gradient auditing, and the
-probing-vs-convolution benchmark. Every command is a thin shell over
-the library; anything scriptable here is equally scriptable in Python.
+shape-to-field conversion, synthetic dataset generation, training (also
+from a donor checkpoint's probing bank, which with `freeze_probing=true`
+in the config is a head-only fine-tune), evaluation, feature export,
+gradient auditing, and the probing-vs-convolution benchmark. Every
+command is a thin shell over the library; anything scriptable here is
+equally scriptable in Python.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -28,7 +29,6 @@ from .trainer import (
     build_field,
     evaluate_checkpoint,
     extract_features,
-    fine_tune,
     gradient_check_report,
     sample_seed,
     train,
@@ -60,9 +60,7 @@ def _cmd_gen_synthetic(args):
 
 def _cmd_train(args):
     cfg = TrainConfig.from_file(args.config)
-    if args.freeze_probing:
-        cfg = dataclasses.replace(cfg, freeze_probing=True)
-    result = train(cfg, resume=args.resume)
+    result = train(cfg, resume=args.resume, donor=args.donor)
     print("checkpoint: %s" % result.checkpoint_path)
     print("metrics:    %s" % result.metrics_path)
     if np.isfinite(result.test_accuracy):
@@ -85,16 +83,6 @@ def _cmd_extract_features(args):
     extract_features(args.ckpt, args.manifest, args.out,
                      cache_dir=args.cache_dir)
     print("wrote %s" % args.out)
-    return 0
-
-
-def _cmd_finetune(args):
-    cfg = TrainConfig.from_file(args.config)
-    trainable = tuple(part for part in args.trainable.split(",") if part)
-    result = fine_tune(args.ckpt, cfg, trainable=trainable)
-    print("checkpoint: %s" % result.checkpoint_path)
-    if np.isfinite(result.test_accuracy):
-        print("test accuracy: %.6f" % result.test_accuracy)
     return 0
 
 
@@ -160,10 +148,12 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a classifier from a config file")
     p.add_argument("--config", required=True, help="key=value config file")
-    p.add_argument("--resume", default=None, metavar="CKPT",
-                   help="checkpoint to continue from")
-    p.add_argument("--freeze-probing", action="store_true",
-                   help="keep probing locations and weights fixed")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--resume", default=None, metavar="CKPT",
+                       help="checkpoint to continue from")
+    start.add_argument("--donor", default=None, metavar="CKPT",
+                       help="checkpoint whose probing bank the run starts "
+                            "from, with a new head")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
@@ -181,14 +171,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--cache-dir", default="")
     p.set_defaults(func=_cmd_extract_features)
-
-    p = sub.add_parser("finetune",
-                       help="train on a new task starting from a checkpoint")
-    p.add_argument("--ckpt", required=True, help="donor checkpoint")
-    p.add_argument("--config", required=True, help="config for the new task")
-    p.add_argument("--trainable", default="head",
-                   help="comma list of groups to update: head,probing")
-    p.set_defaults(func=_cmd_finetune)
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference audit of analytic gradients")

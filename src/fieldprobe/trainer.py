@@ -3,8 +3,11 @@
 Covers the whole loop around the layers: manifest-backed datasets, an
 unaugmented field cache, network assembly for the two stock
 architectures, the SGD loop with optional on-the-fly perturbation,
-checkpointing with bitwise-reproducible resume, evaluation, feature
-export, and fine-tuning from a donor checkpoint.
+checkpointing with bitwise-reproducible resume, evaluation, and feature
+export. One switch decides what trains: the head always does, and the
+probing bank does unless `freeze_probing` is set. A run can start from a
+donor checkpoint's probing bank, which with `freeze_probing` is a
+head-only fine-tune.
 """
 
 from __future__ import annotations
@@ -223,23 +226,19 @@ def _parse_bool(text):
     raise ValueError("expected true or false, got %r" % text)
 
 
-def full_scale_config(**overrides):
-    """The full-size recipe: 64^3 fields, 1024 filters, four channels."""
-    base = dict(resolution=64, filters_per_cell=16, channels="distance+normals",
-                batch_size=1024, max_iterations=80000,
-                checkpoint_every=1000, eval_every=1000)
-    base.update(overrides)
-    return TrainConfig(**base)
-
-
 class ShapeDataset:
-    """Manifest-backed shapes, normalized lazily and memoized."""
+    """Manifest-backed shapes, normalized lazily and memoized. `ids` are
+    the manifest's paths as written, relative to its directory; `paths`
+    are the same files resolved, which tell apart two manifests that list
+    the same relative path."""
 
     def __init__(self, manifest_path, resolution, class_count=0,
                  margin=DEFAULT_MARGIN):
         entries = load_manifest(manifest_path)
         self.base = os.path.dirname(os.path.abspath(manifest_path))
         self.ids = [path for path, _ in entries]
+        self.paths = [os.path.normpath(os.path.join(self.base, path))
+                      for path in self.ids]
         self.labels = np.array([label for _, label in entries], dtype=np.int64)
         top = int(self.labels.max())
         if class_count == 0:
@@ -265,8 +264,7 @@ class ShapeDataset:
         """The normalized sample; raw file I/O happens on first access."""
         cached = self._shapes.get(index)
         if cached is None:
-            raw = load_shape(os.path.join(self.base, self.ids[index]),
-                             self.label(index))
+            raw = load_shape(self.paths[index], self.label(index))
             cached = normalize(raw, self.resolution, self.margin)
             self._shapes[index] = cached
         return cached
@@ -308,8 +306,12 @@ class FieldCache:
     numpy work of a view runs on every thread, but scipy's C feature
     transform holds the GIL, and it is now the floor of a perturbed view.
 
-    A disk entry that fails to parse, such as a truncated copy, is
-    rebuilt and rewritten."""
+    Both the memory and the disk entry are keyed on the shape's resolved
+    path, so one cache can serve datasets whose manifests list the same
+    relative path. The voxelization seed stays on the manifest id, so a
+    field's bytes do not depend on where its dataset lives. A disk entry
+    that fails to parse, such as a truncated copy, is rebuilt and
+    rewritten."""
 
     def __init__(self, cache_dir, resolution, channels,
                  samples_per_area=DEFAULT_SAMPLES_PER_AREA):
@@ -324,8 +326,8 @@ class FieldCache:
         if self.dir:
             os.makedirs(self.dir, exist_ok=True)
 
-    def _path(self, sample_id):
-        tag = "%s|%d|%s|%g" % (sample_id, self.resolution, self.channels,
+    def _path(self, shape_path):
+        tag = "%s|%d|%s|%g" % (shape_path, self.resolution, self.channels,
                                self.samples_per_area)
         name = hashlib.sha1(tag.encode("utf-8")).hexdigest()[:24]
         return os.path.join(self.dir, name + ".fpf")
@@ -333,11 +335,11 @@ class FieldCache:
     def field_for(self, dataset, index):
         # serialized so parallel pipeline workers cannot race a disk write
         with self._lock:
-            sample_id = dataset.id(index)
-            field = self._memory.get(sample_id)
+            key = dataset.paths[index]
+            field = self._memory.get(key)
             if field is not None:
                 return field
-            path = self._path(sample_id) if self.dir else None
+            path = self._path(key) if self.dir else None
             if path and os.path.exists(path):
                 try:
                     field = load_field(path)
@@ -346,11 +348,11 @@ class FieldCache:
             if field is None:
                 occ = voxelize(dataset.shape(index), self.resolution,
                                self.samples_per_area,
-                               seed=sample_seed(sample_id))
+                               seed=sample_seed(dataset.id(index)))
                 field = build_field(occ, self.channels)
                 if path:
                     save_field(field, path)
-            self._memory[sample_id] = field
+            self._memory[key] = field
             return field
 
 
@@ -606,21 +608,18 @@ class TrainResult:
     bank: FilterBank
 
 
-def train(cfg: TrainConfig, resume=None, donor=None,
-          trainable=("probing", "head")) -> TrainResult:
+def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
     """Run the SGD loop and return the final state.
 
-    `resume` continues from a checkpoint written by an identical config
-    (same canonical text, same trainable set) and reproduces the
-    uninterrupted run bitwise. `donor` seeds the probing bank from
-    another run's checkpoint before training starts; `trainable` names
-    the parameter groups that move ("probing", "head"). Resuming a
-    fine-tune requires the same `trainable` tuple again.
+    The head always trains; the probing bank trains unless
+    `cfg.freeze_probing` is set. `resume` continues from a checkpoint
+    written by an identical config (same canonical text) and reproduces
+    the uninterrupted run bitwise. `donor` seeds the probing bank from
+    another run's checkpoint before training starts, and the head is
+    built afresh for this run's classes; with `freeze_probing` that is a
+    head-only fine-tune. Since the config records the switch, such a run
+    resumes like any other.
     """
-    trainable = tuple(trainable)
-    unknown = set(trainable) - {"probing", "head"}
-    if unknown:
-        raise ValueError("unknown trainable groups: %s" % sorted(unknown))
     if resume is not None and donor is not None:
         raise ValueError("resume and donor are mutually exclusive")
     if not cfg.train_manifest:
@@ -628,9 +627,7 @@ def train(cfg: TrainConfig, resume=None, donor=None,
 
     train_ds = ShapeDataset(cfg.train_manifest, cfg.resolution,
                             class_count=cfg.classes)
-    cfg = dataclasses.replace(
-        cfg, classes=train_ds.class_count,
-        freeze_probing=cfg.freeze_probing or "probing" not in trainable)
+    cfg = dataclasses.replace(cfg, classes=train_ds.class_count)
     test_ds = None
     if cfg.test_manifest:
         test_ds = ShapeDataset(cfg.test_manifest, cfg.resolution,
@@ -639,13 +636,7 @@ def train(cfg: TrainConfig, resume=None, donor=None,
                        cfg.samples_per_area)
 
     net, bank, probing = build_model(cfg)
-    params = list(probing.params())
-    if "head" in trainable:
-        params += [p for layer in net.layers if layer is not probing
-                   for p in layer.params()]
-    if not params:
-        raise ValueError("nothing to train: every parameter group is frozen")
-    opt = Sgd(params, cfg.sgd_config)
+    opt = Sgd(net.params(), cfg.sgd_config)
     config_text = _drop_keys(cfg.to_text(), _PATH_KEYS)
 
     if donor is not None:
@@ -680,9 +671,8 @@ def train(cfg: TrainConfig, resume=None, donor=None,
         generator.state = ck.rng_state
         master = np.random.Generator(generator)
         start = ck.iteration
-        fresh_metrics = not os.path.exists(metrics_path)
-        if not fresh_metrics:
-            _truncate_metrics(metrics_path, start)
+        fresh_metrics = not (os.path.exists(metrics_path)
+                             and _truncate_metrics(metrics_path, start))
 
     modes = parse_perturbation_modes(cfg.augmentation) if cfg.augmentation else ()
     sample_count = len(train_ds)
@@ -774,15 +764,21 @@ def _drop_keys(text, keys):
 def _truncate_metrics(path, iteration):
     """Cut metrics.csv back to its header and the rows up to `iteration`,
     so a resumed run appends each later iteration exactly once. A torn
-    last line, from a run killed mid-write, goes too."""
+    last line, from a run killed mid-write, goes too. A file without a
+    whole header line, from a run killed before writing it, is left alone
+    and False returned: the caller then starts it afresh."""
     with open(path, "rb+") as handle:
-        keep = len(handle.readline())
+        header = handle.readline()
+        if not header.endswith(b"\n"):
+            return False
+        keep = len(header)
         for line in handle:
             if not line.endswith(b"\n") or \
                     int(line.split(b",", 1)[0]) > iteration:
                 break
             keep += len(line)
         handle.truncate(keep)
+    return True
 
 
 def _first_diff(a, b):
@@ -794,19 +790,6 @@ def _first_diff(a, b):
         if la != lb:
             return "%r vs %r" % (la, lb)
     return "<none>"
-
-
-def fine_tune(donor_checkpoint, cfg: TrainConfig,
-              trainable=("head",)) -> TrainResult:
-    """Continue from a donor's probing bank on a new task.
-
-    The classifier head is rebuilt for the new class count; `trainable`
-    picks what moves (default: head only, probing frozen). An empty
-    tuple is rejected because nothing could learn.
-    """
-    if not trainable:
-        raise ValueError("nothing to train: empty trainable set")
-    return train(cfg, donor=donor_checkpoint, trainable=trainable)
 
 
 def _open_checkpoint(checkpoint_path, manifest_path, cache_dir):

@@ -58,7 +58,6 @@ from fieldprobe.trainer import (
     build_field,
     evaluate_checkpoint,
     extract_features,
-    fine_tune,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -295,8 +294,8 @@ def transfer_runs(tmp_path_factory):
                             cache_dir=str(root / "cache"),
                             out_dir=str(root / "tuned_run"),
                             max_iterations=800, checkpoint_every=800,
-                            eval_every=0)
-    tuned = fine_tune(donor.checkpoint_path, tuned_cfg, trainable=("head",))
+                            eval_every=0, freeze_probing=True)
+    tuned = train(tuned_cfg, donor=donor.checkpoint_path)
     return donor, tuned
 
 

@@ -1,11 +1,14 @@
 """End-to-end smoke tests for the command-line interface."""
 
 import os
+import re
 
+import numpy as np
 import pytest
 
-from fieldprobe.cli import main
+from fieldprobe.cli import build_parser, main
 from fieldprobe.field import load_field
+from fieldprobe.trainer import load_checkpoint
 
 TRAIN_CFG = """\
 train_manifest=data/train.tsv
@@ -96,16 +99,6 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_freeze_probing_flag(self, workspace, tmp_path, capsys):
-        cfg = workspace / "frozen.cfg"
-        cfg.write_text(TRAIN_CFG.replace("out_dir=run", "out_dir=frozen")
-                       .replace("max_iterations=10", "max_iterations=4")
-                       .replace("checkpoint_every=5", "checkpoint_every=0")
-                       .replace("eval_every=5", "eval_every=0"))
-        assert main(["train", "--config", str(cfg),
-                     "--freeze-probing"]) == 0
-        assert (workspace / "frozen" / "final.fpck").exists()
-
     def test_resume_flag(self, workspace, capsys):
         ckpt = str(workspace / "run" / "ckpt_000005.fpck")
         cfg = str(workspace / "train.cfg")
@@ -148,27 +141,36 @@ class TestExtractFeatures:
         assert len(lines) == 1 + 6
 
 
-class TestFinetune:
+class TestDonor:
 
-    def test_head_only(self, workspace, capsys):
-        cfg = workspace / "ft.cfg"
-        cfg.write_text(TRAIN_CFG.replace("out_dir=run", "out_dir=ft")
-                       .replace("max_iterations=10", "max_iterations=5")
-                       .replace("checkpoint_every=5", "checkpoint_every=0")
-                       .replace("eval_every=5", "eval_every=0"))
-        code = main(["finetune",
-                     "--ckpt", str(workspace / "run" / "final.fpck"),
-                     "--config", str(cfg)])
-        assert code == 0
-        assert (workspace / "ft" / "final.fpck").exists()
+    def test_head_only_resume_matches_uninterrupted(self, workspace):
+        # the config records freeze_probing, so a plain --resume continues
+        # the head-only fine-tune
+        path = workspace / "ft.cfg"
+        path.write_text(TRAIN_CFG.replace("out_dir=run", "out_dir=ft")
+                        + "freeze_probing=true\n")
+        cfg = str(path)
+        donor = str(workspace / "run" / "final.fpck")
+        assert main(["train", "--config", cfg, "--donor", donor]) == 0
+        final = workspace / "ft" / "final.fpck"
+        uninterrupted = final.read_bytes()
+        tuned = load_checkpoint(str(final))
+        source = load_checkpoint(donor)
+        for name in ("probing.locations", "probing.weights"):
+            np.testing.assert_array_equal(tuned.blocks[name],
+                                          source.blocks[name])
+        final.unlink()
+        assert main(["train", "--config", cfg, "--resume",
+                     str(workspace / "ft" / "ckpt_000005.fpck")]) == 0
+        assert final.read_bytes() == uninterrupted
 
-    def test_empty_trainable_reports_error(self, workspace, capsys):
-        cfg = str(workspace / "ft.cfg")
-        code = main(["finetune",
-                     "--ckpt", str(workspace / "run" / "final.fpck"),
-                     "--config", cfg, "--trainable", ""])
-        assert code == 1
-        assert "nothing to train" in capsys.readouterr().err
+    def test_donor_with_resume_is_usage_error(self, workspace, capsys):
+        ckpt = str(workspace / "run" / "final.fpck")
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", str(workspace / "train.cfg"),
+                  "--resume", ckpt, "--donor", ckpt])
+        assert info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestGradcheck:
@@ -207,6 +209,32 @@ class TestBench:
     def test_workers_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["bench", "--workers", "2"])
+
+
+def readme_commands():
+    """Argument lists of the README's Command line block, with brackets
+    dropped and the first alternative of each `|` taken."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        block = handle.read().split("## Command line", 1)[1].split("```")[1]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("fieldprobe "):
+            line = re.sub(r"\[([^]]*)\]",
+                          lambda group: group[1].split("|")[0], line)
+            commands.append([token.split("|")[0]
+                             for token in line.split()[1:]])
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(),
+                         ids=lambda argv: argv[0])
+def test_readme_command_parses(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail("README names an unknown command or flag: fieldprobe "
+                    + " ".join(argv))
 
 
 def test_unknown_command_is_usage_error():

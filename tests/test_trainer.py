@@ -11,9 +11,14 @@ import pytest
 from fieldprobe import trainer
 from fieldprobe.errors import FormatError, ParseError, TrainingDiverged
 from fieldprobe.field import ROLE_DISTANCE, ROLE_GENERIC
-from fieldprobe.ingest import parse_perturbation_modes, voxelize
+from fieldprobe.ingest import parse_perturbation_modes, voxelize, write_off
 from fieldprobe.probing import FilterBank, ProbingLayer, init_filter_bank
-from fieldprobe.synthetic import SyntheticSpec, generate_synthetic, multilinear_field
+from fieldprobe.synthetic import (
+    SyntheticSpec,
+    generate_synthetic,
+    make_shape,
+    multilinear_field,
+)
 from fieldprobe.trainer import (
     Checkpoint,
     EVAL_SEED,
@@ -25,11 +30,9 @@ from fieldprobe.trainer import (
     evaluate_checkpoint,
     evaluate_network,
     extract_features,
-    fine_tune,
     gradient_check_report,
     load_checkpoint,
     load_model_state,
-    full_scale_config,
     probing_displacement,
     sample_seed,
     save_checkpoint,
@@ -102,14 +105,6 @@ class TestTrainConfig:
         assert cfg.max_iterations == 2000
         assert (cfg.learning_rate, cfg.momentum, cfg.weight_decay) == \
             (0.01, 0.9, 0.0005)
-
-    def test_full_scale_preset(self):
-        cfg = full_scale_config()
-        assert cfg.resolution == 64
-        assert cfg.init_config.filter_count == 1024
-        assert cfg.channel_count == 4
-        assert cfg.batch_size == 1024
-        assert cfg.max_iterations == 80000
 
     def test_sigma_defaults_to_tenth_of_object_size(self):
         assert TrainConfig(resolution=32).effective_sigma == pytest.approx(2.8)
@@ -246,6 +241,38 @@ class TestFieldCache:
         FieldCache(str(tmp_path), 32, "distance").field_for(ds32, 0)
         FieldCache(str(tmp_path), 16, "distance").field_for(ds16, 0)
         assert len(os.listdir(tmp_path)) == 2
+
+    @pytest.fixture
+    def twin_manifests(self, tmp_path):
+        """Two manifests in different directories that list the same
+        relative path, x.off: a sphere under a/, a torus under b/. Each
+        dataset's field built alone comes with it."""
+        twins = []
+        for folder, name in (("a", "sphere"), ("b", "torus")):
+            root = tmp_path / folder
+            root.mkdir()
+            shape = make_shape(name, np.random.default_rng(0), 0.0)
+            write_bytes(str(root / "x.off"), write_off(shape))
+            (root / "m.tsv").write_text("x.off\t0\n")
+            ds = ShapeDataset(str(root / "m.tsv"), 16)
+            alone = FieldCache(None, 16, "distance").field_for(ds, 0)
+            twins.append((ds, alone.values.tobytes()))
+        assert twins[0][1] != twins[1][1]
+        return twins
+
+    def test_same_relative_path_from_memory(self, twin_manifests):
+        shared = FieldCache(None, 16, "distance")
+        for ds, alone in twin_manifests:
+            assert shared.field_for(ds, 0).values.tobytes() == alone
+
+    def test_same_relative_path_from_disk(self, twin_manifests, tmp_path):
+        disk = str(tmp_path / "cache")
+        for ds, _ in twin_manifests:
+            FieldCache(disk, 16, "distance").field_for(ds, 0)
+        assert len(os.listdir(disk)) == 2
+        for ds, alone in twin_manifests:
+            loaded = FieldCache(disk, 16, "distance").field_for(ds, 0)
+            assert loaded.values.tobytes() == alone
 
     def test_sample_seed_is_stable_and_distinct(self):
         assert sample_seed("a.off") == sample_seed("a.off")
@@ -534,6 +561,22 @@ class TestTrainLoop:
         assert [int(line.split(",")[0]) for line in lines[1:]] == \
             list(range(1, 31))
 
+    @pytest.mark.parametrize("left", [b"", b"iteration,loss,tr"],
+                             ids=["empty", "torn-header"])
+    def test_resume_rewrites_metrics_without_header(self, workbench,
+                                                     tmp_path, left):
+        # a run killed after opening metrics.csv but before its header
+        # was whole leaves one of these behind
+        cfg = mini_config(workbench, tmp_path / "run", max_iterations=4,
+                          checkpoint_every=2, eval_every=0)
+        train(cfg)
+        metrics = os.path.join(cfg.out_dir, "metrics.csv")
+        write_bytes(metrics, left)
+        train(cfg, resume=os.path.join(cfg.out_dir, "ckpt_000002.fpck"))
+        lines = read_text(metrics).splitlines()
+        assert lines[0] == "iteration,loss,train_acc,eval_acc,wall_ms"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [3, 4]
+
     def test_checkpoints_do_not_depend_on_run_directory(self, workbench,
                                                        tmp_path):
         data = os.path.dirname(workbench["train"])
@@ -635,12 +678,8 @@ class TestTrainLoop:
         assert "velocity.probing.locations" not in ck.blocks
         assert "velocity.fc_out.weight" in ck.blocks
 
-    def test_nothing_to_train_rejected(self, workbench, tmp_path):
-        cfg = mini_config(workbench, tmp_path / "x", freeze_probing=True)
-        with pytest.raises(ValueError, match="nothing to train"):
-            train(cfg, trainable=("probing",))
-        with pytest.raises(ValueError, match="unknown trainable"):
-            train(cfg, trainable=("conv",))
+    def test_resume_and_donor_are_exclusive(self, workbench, tmp_path):
+        cfg = mini_config(workbench, tmp_path / "x")
         with pytest.raises(ValueError, match="mutually exclusive"):
             train(cfg, resume="a.fpck", donor="b.fpck")
 
@@ -800,8 +839,8 @@ class TestFineTune:
                              checkpoint_every=0, eval_every=0,
                              cache_dir=os.path.join(root, "cache"),
                              out_dir=os.path.join(root, "ft"))
-        result = fine_tune(donor.checkpoint_path, ft_cfg)
-        assert result.config.freeze_probing
+        result = train(dataclasses.replace(ft_cfg, freeze_probing=True),
+                       donor=donor.checkpoint_path)
         source = load_checkpoint(donor.checkpoint_path)
         tuned = load_checkpoint(result.checkpoint_path)
         np.testing.assert_array_equal(tuned.blocks["probing.locations"],
@@ -820,25 +859,18 @@ class TestFineTune:
                              checkpoint_every=0, eval_every=0,
                              cache_dir=os.path.join(root, "cache"),
                              out_dir=os.path.join(root, "ft_full"))
-        result = fine_tune(donor.checkpoint_path, ft_cfg,
-                           trainable=("probing", "head"))
+        result = train(ft_cfg, donor=donor.checkpoint_path)
         source = load_checkpoint(donor.checkpoint_path)
         tuned = load_checkpoint(result.checkpoint_path)
         assert not np.array_equal(tuned.blocks["probing.locations"],
                                   source.blocks["probing.locations"])
-
-    def test_empty_trainable_rejected(self, mini_run, workbench, tmp_path):
-        cfg, donor = mini_run
-        with pytest.raises(ValueError, match="nothing to train"):
-            fine_tune(donor.checkpoint_path,
-                      mini_config(workbench, tmp_path / "x"), trainable=())
 
     def test_donor_geometry_mismatch_rejected(self, mini_run, workbench,
                                               tmp_path):
         cfg, donor = mini_run
         other = mini_config(workbench, tmp_path / "y", filters_per_cell=2)
         with pytest.raises(ValueError, match="filters_per_cell"):
-            fine_tune(donor.checkpoint_path, other)
+            train(other, donor=donor.checkpoint_path)
 
     def test_donor_without_probing_blocks_rejected(self, workbench,
                                                    tmp_path):
@@ -847,7 +879,7 @@ class TestFineTune:
         save_checkpoint(path, 1, {"fc_out.bias": np.zeros(2, np.float32)},
                         cfg.to_text(), {"s": 1})
         with pytest.raises(ValueError, match="lacks block"):
-            fine_tune(path, cfg)
+            train(cfg, donor=path)
 
 
 class TestModelStateLoading:
