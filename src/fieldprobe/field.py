@@ -18,6 +18,7 @@ follows the number of points, not R^3.
 from __future__ import annotations
 
 import os
+import secrets
 import struct
 
 import numpy as np
@@ -261,14 +262,27 @@ def read_field(data: bytes) -> Field3D:
     return Field3D(values.copy(), roles.copy())
 
 
-def save_field(field: Field3D, path):
-    """Write an FPF1 file whole or not at all: a run killed mid-write
-    leaves the old file (or none) in place, never a truncated one."""
+def write_atomically(path, data: bytes):
+    """Write `data` to `path` whole or not at all: a run killed mid-write
+    leaves the old file (or none) in place, never a truncated one. Each
+    write goes through its own temporary name in the same directory, so
+    concurrent writers of one path never share it, and the last rename
+    wins. The temporary file is removed when the write fails."""
     path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(write_field(field))
-    os.replace(tmp, path)
+    tmp = "%s.%s.tmp" % (path, secrets.token_hex(8))
+    handle = open(tmp, "xb")
+    try:
+        with handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def save_field(field: Field3D, path):
+    """Write an FPF1 file atomically (see `write_atomically`)."""
+    write_atomically(path, write_field(field))
 
 
 def load_field(path) -> Field3D:

@@ -1,13 +1,13 @@
 """Training driver for field-probing classifiers.
 
-Covers the whole loop around the layers: manifest-backed datasets, an
-unaugmented field cache, network assembly for the two stock
-architectures, the SGD loop with optional on-the-fly perturbation,
-checkpointing with bitwise-reproducible resume, evaluation, and feature
-export. One switch decides what trains: the head always does, and the
-probing bank does unless `freeze_probing` is set. A run can start from a
-donor checkpoint's probing bank, which with `freeze_probing` is a
-head-only fine-tune.
+Covers the whole loop around the layers: manifest-backed datasets, a
+cache of unaugmented fields and evaluation views, network assembly for
+the two stock architectures, the SGD loop with optional on-the-fly
+perturbation, checkpointing with bitwise-reproducible resume,
+evaluation, and feature export. One switch decides what trains: the
+head always does, and the probing bank does unless `freeze_probing` is
+set. A run can start from a donor checkpoint's probing bank, which with
+`freeze_probing` is a head-only fine-tune.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .field import (
     field_from_occupancy,
     load_field,
     save_field,
+    write_atomically,
 )
 from .ingest import (
     DEFAULT_MARGIN,
@@ -278,16 +279,17 @@ def build_field(occ, channels):
     return field_from_occupancy(occ)
 
 
-def _view(cache, dataset, index, perturbation, vox_seed, cfg):
-    """One sample's input field: the cached, unaugmented field when
-    `perturbation` is None, else the field of that perturbed view of the
-    normalized shape, voxelized with `vox_seed`. Training and evaluation
-    build every view here."""
+def _view(cache, dataset, index, perturbation, vox_seed):
+    """One sample's input field at the cache's settings: the cached,
+    unaugmented field when `perturbation` is None, else the field of that
+    perturbed view of the normalized shape, voxelized with `vox_seed`.
+    Training and evaluation build every view here."""
     if perturbation is None:
         return cache.field_for(dataset, index)
     view = apply_perturbation(dataset.shape(index), perturbation)
-    occ = voxelize(view, cfg.resolution, cfg.samples_per_area, seed=vox_seed)
-    return build_field(occ, cfg.channels)
+    occ = voxelize(view, cache.resolution, cache.samples_per_area,
+                   seed=vox_seed)
+    return build_field(occ, cache.channels)
 
 
 def sample_seed(sample_id):
@@ -298,20 +300,25 @@ def sample_seed(sample_id):
 
 
 class FieldCache:
-    """Unaugmented fields memoized in memory and, when given a directory,
-    on disk. Perturbed views are never cached: each one follows its own
-    perturbation draw, so no view is read twice. Building them (voxelize
-    plus EDT) is most of an augmented training step; `train` and
-    `evaluate_network` spread it over `pipeline_workers` threads. The
-    numpy work of a view runs on every thread, but scipy's C feature
-    transform holds the GIL, and it is now the floor of a perturbed view.
+    """Each sample's unaugmented field and, per perturbation protocol, its
+    evaluation view.
 
-    Both the memory and the disk entry are keyed on the shape's resolved
-    path, so one cache can serve datasets whose manifests list the same
-    relative path. The voxelization seed stays on the manifest id, so a
-    field's bytes do not depend on where its dataset lives. A disk entry
-    that fails to parse, such as a truncated copy, is rebuilt and
-    rewritten."""
+    Unaugmented fields are memoized in memory and, given a directory, on
+    disk. Evaluation views are deterministic, drawn from (EVAL_SEED, the
+    sample's voxelization seed), and are kept on disk only: each
+    `evaluate_checkpoint` call opens a new cache, and without a directory
+    every pass builds them again. Training views are never cached, since
+    each follows its own draw from the master stream. Views (voxelize
+    plus EDT) are built on `pipeline_workers` threads, but scipy's C
+    feature transform holds the GIL and is the floor of a view.
+
+    An entry is keyed on the shape's resolved path and its voxelization
+    seed, which follows the manifest id, so its bytes depend neither on
+    where the dataset lives nor on what else the cache has served.
+    Evaluation views add EVAL_SEED and the protocol's modes in order
+    (draws follow that order: S+R15 is not R15+S), and their file names
+    end in the protocol. A disk entry that fails to parse, such as a
+    truncated copy, is rebuilt and rewritten."""
 
     def __init__(self, cache_dir, resolution, channels,
                  samples_per_area=DEFAULT_SAMPLES_PER_AREA):
@@ -326,34 +333,60 @@ class FieldCache:
         if self.dir:
             os.makedirs(self.dir, exist_ok=True)
 
-    def _path(self, shape_path):
-        tag = "%s|%d|%s|%g" % (shape_path, self.resolution, self.channels,
-                               self.samples_per_area)
+    def _path(self, key, perturb):
+        """Disk entry of `key` (resolved path, voxelization seed) under the
+        protocol `perturb`, or None without a directory."""
+        if not self.dir:
+            return None
+        shape_path, seed = key
+        tag = "%s|%d|%d|%s|%g" % (shape_path, seed, self.resolution,
+                                  self.channels, self.samples_per_area)
+        suffix = ""
+        if perturb:
+            protocol = "+".join(perturb)
+            tag += "|%s|%d" % (protocol, EVAL_SEED)
+            suffix = "." + protocol
         name = hashlib.sha1(tag.encode("utf-8")).hexdigest()[:24]
-        return os.path.join(self.dir, name + ".fpf")
+        return os.path.join(self.dir, name + suffix + ".fpf")
 
-    def field_for(self, dataset, index):
-        # serialized so parallel pipeline workers cannot race a disk write
+    def field_for(self, dataset, index, perturb=()):
+        """The sample's unaugmented field or, with `perturb` modes, its
+        evaluation view under that protocol."""
+        key = (dataset.paths[index], sample_seed(dataset.id(index)))
+        if perturb:
+            # disk only, and outside the lock: each evaluation opens a new
+            # cache, and pipeline workers build their misses side by side
+            return self._load_or_build(dataset, index, key, perturb)
+        # serialized so parallel pipeline workers never build one field twice
         with self._lock:
-            key = dataset.paths[index]
             field = self._memory.get(key)
-            if field is not None:
-                return field
-            path = self._path(key) if self.dir else None
-            if path and os.path.exists(path):
-                try:
-                    field = load_field(path)
-                except FormatError:
-                    pass  # a corrupt entry is a miss: rebuilt and rewritten
             if field is None:
-                occ = voxelize(dataset.shape(index), self.resolution,
-                               self.samples_per_area,
-                               seed=sample_seed(dataset.id(index)))
-                field = build_field(occ, self.channels)
-                if path:
-                    save_field(field, path)
-            self._memory[key] = field
+                field = self._load_or_build(dataset, index, key, ())
+                self._memory[key] = field
             return field
+
+    def _load_or_build(self, dataset, index, key, perturb):
+        """The disk entry, or the field built and written there. A missing
+        or corrupt entry is a miss: rebuilt and rewritten."""
+        path = self._path(key, perturb)
+        if path and os.path.exists(path):
+            try:
+                return load_field(path)
+            except FormatError:
+                pass
+        seed = key[1]
+        if perturb:
+            rng = np.random.default_rng((EVAL_SEED, seed))
+            perturbation = sample_perturbation(perturb, rng)
+            field = _view(self, dataset, index, perturbation,
+                          int(rng.integers(2 ** 63)))
+        else:
+            occ = voxelize(dataset.shape(index), self.resolution,
+                           self.samples_per_area, seed=seed)
+            field = build_field(occ, self.channels)
+        if path:
+            save_field(field, path)
+        return field
 
 
 def build_model(cfg: TrainConfig):
@@ -420,10 +453,7 @@ def save_checkpoint(path, iteration, blocks, config_text, rng_state):
                          sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts.append(struct.pack("<I", len(trailer)))
     parts.append(trailer)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(b"".join(parts))
-    os.replace(tmp, path)
+    write_atomically(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -537,24 +567,19 @@ def _forward_dataset(net, dataset, cache, cfg, perturb=(), chunk=64):
     """Yield (indices, eval-mode output of `net`) over the dataset, one
     chunk of `chunk` samples at a time, one deterministic view per sample.
 
-    With `perturb` modes the view is drawn from a generator keyed by
-    (EVAL_SEED, sample id), so repeated passes see identical inputs no
+    With `perturb` modes each view is the cache's evaluation view of the
+    sample under that protocol, so repeated passes see identical inputs no
     matter what the training loop has consumed or how many threads build
-    them. Perturbed views are built on `cfg.pipeline_workers` threads, one
-    chunk ahead of the forward pass; cached fields are read on the
-    calling thread, where a pool would only add overhead.
+    them. Perturbed views are built, or loaded from the cache's directory,
+    on `cfg.pipeline_workers` threads, one chunk ahead of the forward
+    pass; unaugmented fields are read on the calling thread, where a pool
+    would only add overhead.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
 
     def view(index):
-        if not perturb:
-            return _view(cache, dataset, index, None, 0, cfg)
-        rng = np.random.default_rng(
-            (EVAL_SEED, sample_seed(dataset.id(index))))
-        perturbation = sample_perturbation(perturb, rng)
-        return _view(cache, dataset, index, perturbation,
-                     int(rng.integers(2 ** 63)), cfg)
+        return cache.field_for(dataset, index, perturb)
 
     chunks = [range(start, min(start + chunk, len(dataset)))
               for start in range(0, len(dataset), chunk)]
@@ -678,7 +703,7 @@ def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
     sample_count = len(train_ds)
 
     def build_view(job):
-        return _view(cache, train_ds, *job, cfg)
+        return _view(cache, train_ds, *job)
 
     # All randomness is drawn on the main thread in a fixed order, so the
     # worker count changes wall time only, never batch content. Each batch
@@ -686,6 +711,15 @@ def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
     # and change the generator state checkpoints save.
     with open(metrics_path, "w" if fresh_metrics else "a",
               encoding="utf-8") as metrics:
+
+        def checkpoint(name, iteration):
+            # the rows a checkpoint covers reach the file before it does
+            metrics.flush()
+            path = os.path.join(cfg.out_dir, name)
+            save_checkpoint(path, iteration, _model_blocks(net, opt),
+                            config_text, master.bit_generator.state)
+            return path
+
         if fresh_metrics:
             metrics.write(METRICS_HEADER + "\n")
         for it in range(start + 1, cfg.max_iterations + 1):
@@ -709,12 +743,9 @@ def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
             logits = net.forward(fields, train=True, rng=dropout_rng)
             loss, dlogits = softmax_cross_entropy(logits, labels)
             if not np.isfinite(loss):
-                path = os.path.join(cfg.out_dir, "diverged.fpck")
-                save_checkpoint(path, it, _model_blocks(net, opt),
-                                config_text, master.bit_generator.state)
                 raise TrainingDiverged(
                     "loss became non-finite at iteration %d" % it,
-                    checkpoint_path=path)
+                    checkpoint_path=checkpoint("diverged.fpck", it))
             train_acc = float(
                 (np.argmax(logits, axis=1) == labels).mean())
             net.backward(dlogits)
@@ -729,18 +760,13 @@ def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
             metrics.write("%d,%.9g,%.6f,%s,%.3f\n"
                           % (it, loss, train_acc, eval_text, wall_ms))
             if cfg.checkpoint_every and it % cfg.checkpoint_every == 0:
-                save_checkpoint(
-                    os.path.join(cfg.out_dir, "ckpt_%06d.fpck" % it),
-                    it, _model_blocks(net, opt), config_text,
-                    master.bit_generator.state)
+                checkpoint("ckpt_%06d.fpck" % it, it)
 
-    accuracy, confusion = float("nan"), None
-    if test_ds is not None:
-        result = evaluate_network(net, test_ds, cache, cfg)
-        accuracy, confusion = result.accuracy, result.confusion
-    final_path = os.path.join(cfg.out_dir, "final.fpck")
-    save_checkpoint(final_path, cfg.max_iterations, _model_blocks(net, opt),
-                    config_text, master.bit_generator.state)
+        accuracy, confusion = float("nan"), None
+        if test_ds is not None:
+            result = evaluate_network(net, test_ds, cache, cfg)
+            accuracy, confusion = result.accuracy, result.confusion
+        final_path = checkpoint("final.fpck", cfg.max_iterations)
     return TrainResult(config=cfg, checkpoint_path=final_path,
                        metrics_path=metrics_path, test_accuracy=accuracy,
                        confusion=confusion,

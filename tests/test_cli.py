@@ -2,13 +2,36 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fieldprobe
 from fieldprobe.cli import build_parser, main
 from fieldprobe.field import load_field
 from fieldprobe.trainer import load_checkpoint
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fieldprobe.__file__)))
+
+# Runs the CLI on argv[3:] and exits the process, without flushing any
+# buffer (as SIGKILL would), just before or just after (argv[1]) a rename
+# onto a file named argv[2].
+EXIT_AT_RENAME = """
+import os, sys
+from fieldprobe.cli import main
+replace = os.replace
+def replace_and_exit(src, dst):
+    hit = os.path.basename(dst) == sys.argv[2]
+    if hit and sys.argv[1] == "before":
+        os._exit(9)
+    replace(src, dst)
+    if hit:
+        os._exit(9)
+os.replace = replace_and_exit
+main(sys.argv[3:])
+"""
 
 TRAIN_CFG = """\
 train_manifest=data/train.tsv
@@ -98,6 +121,42 @@ class TestTrain:
     def test_missing_config_reports_error(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("when, resume", [
+        ("after", "ckpt_000010.fpck"),
+        ("before", "ckpt_000005.fpck"),
+    ])
+    def test_killed_at_checkpoint_then_resumed(self, workspace, tmp_path,
+                                               when, resume):
+        def run_config(name):
+            cfg = tmp_path / (name + ".cfg")
+            cfg.write_text(TRAIN_CFG.replace("data/", str(workspace / "data")
+                                             + "/")
+                           .replace("out_dir=run", "out_dir=" + name)
+                           .replace("max_iterations=10", "max_iterations=20"))
+            return str(cfg)
+
+        assert main(["train", "--config", run_config("whole")]) == 0
+        killed = run_config("killed")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        done = subprocess.run(
+            [sys.executable, "-c", EXIT_AT_RENAME, when, "ckpt_000010.fpck",
+             "train", "--config", killed],
+            cwd=str(tmp_path), env=env, capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 9, done.stderr[-2000:]
+        run, whole = tmp_path / "killed", tmp_path / "whole"
+        assert not (run / "final.fpck").exists()
+        assert (run / "ckpt_000010.fpck").exists() == (when == "after")
+        assert main(["train", "--config", killed,
+                     "--resume", str(run / resume)]) == 0
+        assert (run / "final.fpck").read_bytes() == \
+            (whole / "final.fpck").read_bytes()
+        lines = (run / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "iteration,loss,train_acc,eval_acc,wall_ms"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == \
+            list(range(1, 21))
 
     def test_resume_flag(self, workspace, capsys):
         ckpt = str(workspace / "run" / "ckpt_000005.fpck")

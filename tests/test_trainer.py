@@ -4,14 +4,26 @@ import os
 import shutil
 import struct
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from fieldprobe import trainer
 from fieldprobe.errors import FormatError, ParseError, TrainingDiverged
-from fieldprobe.field import ROLE_DISTANCE, ROLE_GENERIC
-from fieldprobe.ingest import parse_perturbation_modes, voxelize, write_off
+from fieldprobe.field import (
+    ROLE_DISTANCE,
+    ROLE_GENERIC,
+    Field3D,
+    load_field,
+    save_field,
+)
+from fieldprobe.ingest import (
+    parse_perturbation_modes,
+    sample_perturbation,
+    voxelize,
+    write_off,
+)
 from fieldprobe.probing import FilterBank, ProbingLayer, init_filter_bank
 from fieldprobe.synthetic import (
     SyntheticSpec,
@@ -274,9 +286,128 @@ class TestFieldCache:
             loaded = FieldCache(disk, 16, "distance").field_for(ds, 0)
             assert loaded.values.tobytes() == alone
 
+    @pytest.fixture
+    def one_file_two_ids(self, tmp_path):
+        """One shape file listed as sub/x.off by a.tsv and as x.off by
+        sub/b.tsv: one resolved path, two ids, so two voxelization seeds.
+        Each dataset's field built alone comes with it."""
+        (tmp_path / "sub").mkdir()
+        shape = make_shape("torus", np.random.default_rng(0), 0.0)
+        write_bytes(str(tmp_path / "sub" / "x.off"), write_off(shape))
+        (tmp_path / "a.tsv").write_text("sub/x.off\t0\n")
+        (tmp_path / "sub" / "b.tsv").write_text("x.off\t0\n")
+        pair = []
+        for manifest in ("a.tsv", "sub/b.tsv"):
+            ds = ShapeDataset(str(tmp_path / manifest), 16)
+            alone = FieldCache(None, 16, "distance").field_for(ds, 0)
+            pair.append((ds, alone.values.tobytes()))
+        assert pair[0][0].paths == pair[1][0].paths
+        assert pair[0][1] != pair[1][1]
+        return pair
+
+    def test_same_file_two_ids_from_memory(self, one_file_two_ids):
+        shared = FieldCache(None, 16, "distance")
+        for ds, alone in one_file_two_ids:
+            assert shared.field_for(ds, 0).values.tobytes() == alone
+
+    def test_same_file_two_ids_from_disk(self, one_file_two_ids, tmp_path):
+        disk = str(tmp_path / "cache")
+        for ds, _ in one_file_two_ids:
+            FieldCache(disk, 16, "distance").field_for(ds, 0)
+        assert len(os.listdir(disk)) == 2
+        for ds, alone in one_file_two_ids:
+            loaded = FieldCache(disk, 16, "distance").field_for(ds, 0)
+            assert loaded.values.tobytes() == alone
+
     def test_sample_seed_is_stable_and_distinct(self):
         assert sample_seed("a.off") == sample_seed("a.off")
         assert sample_seed("a.off") != sample_seed("b.off")
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a view was built")
+
+
+def fresh_eval_view(ds, index, modes, resolution=16, channels="distance"):
+    """A sample's evaluation view built from its draw, with no cache."""
+    rng = np.random.default_rng((EVAL_SEED, sample_seed(ds.id(index))))
+    perturbation = sample_perturbation(modes, rng)
+    return trainer._view(FieldCache(None, resolution, channels), ds, index,
+                         perturbation, int(rng.integers(2 ** 63)))
+
+
+class TestEvalViewCache:
+    """Perturbed evaluation views are deterministic, so the cache keeps
+    them on disk, keyed on the sample and the ordered protocol."""
+
+    @pytest.fixture
+    def ds(self, workbench):
+        return ShapeDataset(workbench["test"], 16, class_count=2)
+
+    def test_cached_view_is_a_fresh_build(self, ds, tmp_path,
+                                          monkeypatch):
+        modes = parse_perturbation_modes("R15+T01+S")
+        built = FieldCache(str(tmp_path), 16, "distance").field_for(
+            ds, 1, modes)
+        [name] = os.listdir(tmp_path)
+        assert name.endswith(".R15+T01+S.fpf")
+        monkeypatch.setattr(trainer, "voxelize", refuse)
+        loaded = FieldCache(str(tmp_path), 16, "distance").field_for(
+            ds, 1, modes)
+        monkeypatch.undo()
+        fresh = fresh_eval_view(ds, 1, modes)
+        assert built.values.tobytes() == fresh.values.tobytes()
+        assert loaded.values.tobytes() == fresh.values.tobytes()
+        assert loaded.roles.tolist() == fresh.roles.tolist()
+
+    def test_protocols_and_mode_order_kept_apart(self, ds, tmp_path):
+        protocols = ("R15", "R15+T01+S", "R15+S", "S+R15")
+        for spec in protocols:
+            FieldCache(str(tmp_path), 16, "distance").field_for(
+                ds, 0, parse_perturbation_modes(spec))
+        names = sorted(os.listdir(tmp_path))
+        assert sorted(name.split(".", 1)[1] for name in names) == \
+            sorted(spec + ".fpf" for spec in protocols)
+        views = set()
+        for spec in protocols:
+            modes = parse_perturbation_modes(spec)
+            loaded = FieldCache(str(tmp_path), 16, "distance").field_for(
+                ds, 0, modes)
+            assert loaded.values.tobytes() == \
+                fresh_eval_view(ds, 0, modes).values.tobytes()
+            views.add(loaded.values.tobytes())
+        assert len(views) == len(protocols)
+
+    def test_truncated_view_entry_is_rebuilt(self, ds, tmp_path):
+        modes = parse_perturbation_modes("R15")
+        FieldCache(str(tmp_path), 16, "distance").field_for(ds, 2, modes)
+        [name] = os.listdir(tmp_path)
+        path = os.path.join(str(tmp_path), name)
+        whole = read_bytes(path)
+        write_bytes(path, whole[:len(whole) // 2])
+        rebuilt = FieldCache(str(tmp_path), 16, "distance").field_for(
+            ds, 2, modes)
+        assert rebuilt.values.tobytes() == \
+            fresh_eval_view(ds, 2, modes).values.tobytes()
+        assert os.listdir(tmp_path) == [name]
+        assert read_bytes(path) == whole
+
+    def test_views_stay_out_of_memory(self, ds, tmp_path):
+        cache = FieldCache(str(tmp_path), 16, "distance")
+        modes = parse_perturbation_modes("R15")
+        assert cache.field_for(ds, 0, modes) is not \
+            cache.field_for(ds, 0, modes)
+
+    def test_unperturbed_eval_makes_no_protocol_entry(self, workbench,
+                                                      mini_run, tmp_path):
+        cfg, result = mini_run
+        ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
+        cache = FieldCache(str(tmp_path), cfg.resolution, cfg.channels)
+        evaluate_network(result.net, ds, cache, result.config)
+        expected = {os.path.basename(cache._path(
+            (ds.paths[i], sample_seed(ds.id(i))), ())) for i in range(len(ds))}
+        assert set(os.listdir(tmp_path)) == expected
+        assert all(name.count(".") == 1 for name in expected)
 
 
 def small_block(resolution=8, filters=3, points=4, channels=2, sigma=1.5,
@@ -392,6 +523,71 @@ class TestBuildModel:
     def test_requires_resolved_classes(self):
         with pytest.raises(ValueError, match="classes"):
             build_model(TrainConfig())
+
+
+@pytest.mark.parametrize("kind", ["field", "checkpoint"])
+def test_concurrent_writers_of_one_path(tmp_path, kind):
+    """Writers of one entry race each round while a reader loads it: no
+    write fails, and every load sees one writer's payload whole."""
+    rng = np.random.default_rng(0)
+    payloads = [rng.standard_normal((4, 24, 24, 24)).astype(np.float32)
+                for _ in range(4)]
+    path = str(tmp_path / ("entry." + kind))
+
+    def write(values):
+        if kind == "field":
+            save_field(Field3D(values, np.full(4, ROLE_GENERIC, np.uint8)),
+                       path)
+        else:
+            save_checkpoint(path, 1, {"v": values.reshape(4, 24, 576)}, "",
+                            {})
+
+    def read():
+        if kind == "field":
+            return load_field(path).values.tobytes()
+        return load_checkpoint(path).blocks["v"].tobytes()
+
+    whole = {values.tobytes() for values in payloads}
+    errors, done = [], threading.Event()
+    barrier = threading.Barrier(len(payloads))
+
+    def writer(values):
+        try:
+            for _ in range(20):
+                barrier.wait(timeout=60)
+                write(values)
+        except BaseException as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    def reader():
+        while not done.is_set():
+            try:
+                if read() not in whole:
+                    errors.append(AssertionError("a foreign payload"))
+            except BaseException as exc:
+                errors.append(exc)
+
+    write(payloads[0])
+    threads = [threading.Thread(target=writer, args=(values,))
+               for values in payloads]
+    watcher = threading.Thread(target=reader)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        watcher.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        done.set()
+        watcher.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + [watcher])
+    assert errors == []
+    assert read() in whole
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
 class TestCheckpointFormat:
@@ -772,6 +968,33 @@ class TestEvaluation:
         with pytest.raises(AssertionError, match="thread pool"):
             evaluate_network(result.net, ds, cache, wide,
                              perturb=parse_perturbation_modes("R15"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_perturbed_passes_agree_with_and_without_cache(
+            self, workbench, mini_run, tmp_path, monkeypatch, workers):
+        cfg, result = mini_run
+        ck = load_checkpoint(result.checkpoint_path)
+        path = str(tmp_path / "model.fpck")
+        text = ck.config_text.replace("pipeline_workers=1",
+                                      "pipeline_workers=%d" % workers)
+        assert "pipeline_workers=%d" % workers in text
+        save_checkpoint(path, ck.iteration, ck.blocks, text, ck.rng_state)
+        cache_dir = str(tmp_path / "cache")
+
+        def score(**kwargs):
+            res = evaluate_checkpoint(path, workbench["test"],
+                                      perturb="R15+T01+S", **kwargs)
+            return res.accuracy, res.confusion.tolist()
+
+        uncached = score()
+        assert not os.path.exists(cache_dir)
+        first = score(cache_dir=cache_dir)
+        assert len(os.listdir(cache_dir)) == 6
+        # a later pass only loads: no voxelization, no shape parsing
+        monkeypatch.setattr(trainer, "voxelize", refuse)
+        monkeypatch.setattr(ShapeDataset, "shape", refuse)
+        later = score(cache_dir=cache_dir)
+        assert first == later == uncached
 
     def test_evaluate_checkpoint_round_trip(self, workbench, mini_run):
         cfg, result = mini_run
