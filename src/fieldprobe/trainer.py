@@ -283,13 +283,29 @@ def _view(cache, dataset, index, perturbation, vox_seed):
     """One sample's input field at the cache's settings: the cached,
     unaugmented field when `perturbation` is None, else the field of that
     perturbed view of the normalized shape, voxelized with `vox_seed`.
-    Training and evaluation build every view here."""
+    Training builds its views here; evaluation asks the cache."""
     if perturbation is None:
         return cache.field_for(dataset, index)
-    view = apply_perturbation(dataset.shape(index), perturbation)
-    occ = voxelize(view, cache.resolution, cache.samples_per_area,
+    return _build(cache, dataset.shape(index), perturbation, vox_seed)
+
+
+def _build(cache, shape, perturbation, vox_seed):
+    """The field of `shape`, perturbed unless `perturbation` is None, at
+    the cache's settings, voxelized with `vox_seed`."""
+    if perturbation is not None:
+        shape = apply_perturbation(shape, perturbation)
+    occ = voxelize(shape, cache.resolution, cache.samples_per_area,
                    seed=vox_seed)
     return build_field(occ, cache.channels)
+
+
+def eval_draw(modes, seed):
+    """(perturbation, voxelization seed) of the evaluation view under the
+    protocol `modes` of the sample whose voxelization seed is `seed`:
+    fixed, so every pass scores the same views."""
+    rng = np.random.default_rng((EVAL_SEED, seed))
+    perturbation = sample_perturbation(modes, rng)
+    return perturbation, int(rng.integers(2 ** 63))
 
 
 def sample_seed(sample_id):
@@ -318,7 +334,8 @@ class FieldCache:
     Evaluation views add EVAL_SEED and the protocol's modes in order
     (draws follow that order: S+R15 is not R15+S), and their file names
     end in the protocol. A disk entry that fails to parse, such as a
-    truncated copy, is rebuilt and rewritten."""
+    truncated copy, is rebuilt and rewritten; an evaluation view that
+    cannot be written is served uncached."""
 
     def __init__(self, cache_dir, resolution, channels,
                  samples_per_area=DEFAULT_SAMPLES_PER_AREA):
@@ -374,18 +391,16 @@ class FieldCache:
                 return load_field(path)
             except FormatError:
                 pass
-        seed = key[1]
-        if perturb:
-            rng = np.random.default_rng((EVAL_SEED, seed))
-            perturbation = sample_perturbation(perturb, rng)
-            field = _view(self, dataset, index, perturbation,
-                          int(rng.integers(2 ** 63)))
-        else:
-            occ = voxelize(dataset.shape(index), self.resolution,
-                           self.samples_per_area, seed=seed)
-            field = build_field(occ, self.channels)
+        perturbation, vox_seed = (eval_draw(perturb, key[1]) if perturb
+                                  else (None, key[1]))
+        field = _build(self, dataset.shape(index), perturbation, vox_seed)
         if path:
-            save_field(field, path)
+            try:
+                save_field(field, path)
+            except OSError:
+                # an unwritable cache still scores evaluations, uncached
+                if not perturb:
+                    raise
         return field
 
 

@@ -18,12 +18,7 @@ from fieldprobe.field import (
     load_field,
     save_field,
 )
-from fieldprobe.ingest import (
-    parse_perturbation_modes,
-    sample_perturbation,
-    voxelize,
-    write_off,
-)
+from fieldprobe.ingest import parse_perturbation_modes, voxelize, write_off
 from fieldprobe.probing import FilterBank, ProbingLayer, init_filter_bank
 from fieldprobe.synthetic import (
     SyntheticSpec,
@@ -33,7 +28,6 @@ from fieldprobe.synthetic import (
 )
 from fieldprobe.trainer import (
     Checkpoint,
-    EVAL_SEED,
     FieldCache,
     ShapeDataset,
     TrainConfig,
@@ -330,10 +324,10 @@ def refuse(*args, **kwargs):
 
 def fresh_eval_view(ds, index, modes, resolution=16, channels="distance"):
     """A sample's evaluation view built from its draw, with no cache."""
-    rng = np.random.default_rng((EVAL_SEED, sample_seed(ds.id(index))))
-    perturbation = sample_perturbation(modes, rng)
+    perturbation, vox_seed = trainer.eval_draw(modes,
+                                               sample_seed(ds.id(index)))
     return trainer._view(FieldCache(None, resolution, channels), ds, index,
-                         perturbation, int(rng.integers(2 ** 63)))
+                         perturbation, vox_seed)
 
 
 class TestEvalViewCache:
@@ -397,6 +391,20 @@ class TestEvalViewCache:
         modes = parse_perturbation_modes("R15")
         assert cache.field_for(ds, 0, modes) is not \
             cache.field_for(ds, 0, modes)
+
+    def test_unwritable_cache_still_scores(self, ds, tmp_path, monkeypatch):
+        def no_room(field, path):
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(trainer, "save_field", no_room)
+        modes = parse_perturbation_modes("R15")
+        cache = FieldCache(str(tmp_path), 16, "distance")
+        assert cache.field_for(ds, 0, modes).values.tobytes() == \
+            fresh_eval_view(ds, 0, modes).values.tobytes()
+        assert os.listdir(tmp_path) == []
+        # a training field still fails loudly, as before
+        with pytest.raises(OSError, match="No space"):
+            cache.field_for(ds, 0)
 
     def test_unperturbed_eval_makes_no_protocol_entry(self, workbench,
                                                       mini_run, tmp_path):
@@ -911,9 +919,10 @@ class TestEvaluation:
             np.trace(res.confusion) / len(ds))
 
     def test_perturbed_eval_is_deterministic(self, workbench, mini_run):
+        # no cache directory, so both passes build their views
         cfg, result = mini_run
         ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
-        cache = FieldCache(workbench["cache"], cfg.resolution, cfg.channels)
+        cache = FieldCache(None, cfg.resolution, cfg.channels)
         modes = parse_perturbation_modes("R15+T01+S")
         one = evaluate_network(result.net, ds, cache, result.config,
                                perturb=modes)
@@ -922,33 +931,41 @@ class TestEvaluation:
         assert one.accuracy == two.accuracy
         np.testing.assert_array_equal(one.confusion, two.confusion)
 
-    def test_perturbed_eval_independent_of_worker_count(self, workbench,
-                                                        mini_run):
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_perturbed_eval_independent_of_worker_count(
+            self, workbench, mini_run, tmp_path, on_disk):
         # chunks of 2 over 6 samples, so views are built across chunks; 5
-        # workers and a short switch interval shuffle the build order
+        # workers and a short switch interval shuffle the build order. Each
+        # worker count builds its views, with no cache directory or into a
+        # fresh one, which a second pass at that worker count then loads
         cfg, result = mini_run
         ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
-        cache = FieldCache(workbench["cache"], cfg.resolution, cfg.channels)
         modes = parse_perturbation_modes("R15+T01+S")
-        seen = {}
+        seen = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 2, 5):
-                net = RecordingNetwork(result.net)
-                res = evaluate_network(
-                    net, ds, cache,
-                    dataclasses.replace(result.config,
-                                        pipeline_workers=workers),
-                    perturb=modes, chunk=2)
-                seen[workers] = (net.views,
+                cache_dir = str(tmp_path / str(workers)) if on_disk else None
+                for _ in range(2 if on_disk else 1):
+                    cache = FieldCache(cache_dir, cfg.resolution,
+                                       cfg.channels)
+                    net = RecordingNetwork(result.net)
+                    res = evaluate_network(
+                        net, ds, cache,
+                        dataclasses.replace(result.config,
+                                            pipeline_workers=workers),
+                        perturb=modes, chunk=2)
+                    seen.append((net.views,
                                  [a.tobytes() for a in net.logits],
-                                 res.accuracy, res.confusion.tolist())
+                                 res.accuracy, res.confusion.tolist()))
+                if on_disk:
+                    assert len(os.listdir(cache_dir)) == len(ds)
         finally:
             sys.setswitchinterval(interval)
-        assert len(seen[1][0]) == len(ds)
-        assert seen[2] == seen[1]
-        assert seen[5] == seen[1]
+        assert len(seen) == (6 if on_disk else 3)
+        assert len(seen[0][0]) == len(ds)
+        assert all(pass_ == seen[0] for pass_ in seen)
 
     def test_cached_eval_builds_no_pool(self, workbench, mini_run,
                                         monkeypatch):
