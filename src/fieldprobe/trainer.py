@@ -325,8 +325,8 @@ class FieldCache:
     `evaluate_checkpoint` call opens a new cache, and without a directory
     every pass builds them again. Training views are never cached, since
     each follows its own draw from the master stream. Views (voxelize
-    plus EDT) are built on `pipeline_workers` threads, but scipy's C
-    feature transform holds the GIL and is the floor of a view.
+    plus EDT) are built on `pipeline_workers` threads; scipy's feature
+    transform, the floor of a view, releases the GIL, so builds overlap.
 
     An entry is keyed on the shape's resolved path and its voxelization
     seed, which follows the manifest id, so its bytes depend neither on
@@ -366,14 +366,15 @@ class FieldCache:
         name = hashlib.sha1(tag.encode("utf-8")).hexdigest()[:24]
         return os.path.join(self.dir, name + suffix + ".fpf")
 
-    def field_for(self, dataset, index, perturb=()):
+    def field_for(self, dataset, index, perturb=(), build=True):
         """The sample's unaugmented field or, with `perturb` modes, its
-        evaluation view under that protocol."""
+        evaluation view under that protocol. With `build` False, an
+        evaluation view that is not whole on disk is None, not built."""
         key = (dataset.paths[index], sample_seed(dataset.id(index)))
         if perturb:
             # disk only, and outside the lock: each evaluation opens a new
             # cache, and pipeline workers build their misses side by side
-            return self._load_or_build(dataset, index, key, perturb)
+            return self._load_or_build(dataset, index, key, perturb, build)
         # serialized so parallel pipeline workers never build one field twice
         with self._lock:
             field = self._memory.get(key)
@@ -382,15 +383,18 @@ class FieldCache:
                 self._memory[key] = field
             return field
 
-    def _load_or_build(self, dataset, index, key, perturb):
-        """The disk entry, or the field built and written there. A missing
-        or corrupt entry is a miss: rebuilt and rewritten."""
+    def _load_or_build(self, dataset, index, key, perturb, build=True):
+        """The disk entry, or the field built and written there (None
+        instead, without `build`). A missing or corrupt entry is a miss:
+        rebuilt and rewritten."""
         path = self._path(key, perturb)
         if path and os.path.exists(path):
             try:
                 return load_field(path)
             except FormatError:
                 pass
+        if not build:
+            return None
         perturbation, vox_seed = (eval_draw(perturb, key[1]) if perturb
                                   else (None, key[1]))
         field = _build(self, dataset.shape(index), perturbation, vox_seed)
@@ -404,13 +408,16 @@ class FieldCache:
         return field
 
 
-def build_model(cfg: TrainConfig):
-    """Assemble (network, bank, probing block) for a resolved config."""
+def build_model(cfg: TrainConfig, bank=None):
+    """Assemble (network, bank, probing block) for a resolved config,
+    around `bank` or, by default, the bank the config's init draws."""
     if cfg.classes < 2:
         raise ValueError("classes must be >= 2 to build a model "
                          "(train once or set classes explicitly)")
-    bank = init_filter_bank(cfg.init_config, cfg.resolution,
-                            channel_count=cfg.channel_count, dtype=np.float32)
+    if bank is None:
+        bank = init_filter_bank(cfg.init_config, cfg.resolution,
+                                channel_count=cfg.channel_count,
+                                dtype=np.float32)
     probing = ProbingLayer(bank, cfg.effective_sigma, frozen=cfg.freeze_probing)
     width = bank.filter_count
     rng = np.random.default_rng(cfg.init_seed + 1)
@@ -563,12 +570,9 @@ def load_model_state(net, checkpoint, opt=None):
         raise ValueError("checkpoint is missing blocks: %s" % sorted(missing))
 
 
-def probing_displacement(cfg: TrainConfig, bank: FilterBank):
-    """Mean point travel (voxels) from the config's initialization."""
-    reference = init_filter_bank(cfg.init_config, cfg.resolution,
-                                 channel_count=cfg.channel_count,
-                                 dtype=np.float32)
-    delta = bank.locations.astype(np.float64) - reference.locations
+def probing_displacement(start, bank: FilterBank):
+    """Mean point travel (voxels) of `bank` from the `start` locations."""
+    delta = bank.locations.astype(np.float64) - start
     return float(np.linalg.norm(delta, axis=2).mean())
 
 
@@ -585,24 +589,47 @@ def _forward_dataset(net, dataset, cache, cfg, perturb=(), chunk=64):
     With `perturb` modes each view is the cache's evaluation view of the
     sample under that protocol, so repeated passes see identical inputs no
     matter what the training loop has consumed or how many threads build
-    them. Perturbed views are built, or loaded from the cache's directory,
-    on `cfg.pipeline_workers` threads, one chunk ahead of the forward
-    pass; unaugmented fields are read on the calling thread, where a pool
-    would only add overhead.
+    them. Views that only have to be loaded are read on the calling
+    thread, where a pool would only add overhead: unaugmented fields, and
+    evaluation views while they are whole in the cache's directory. From
+    the first view that has to be built, which a cold pass meets at once,
+    the rest are built or loaded on `cfg.pipeline_workers` threads, one
+    chunk ahead of the forward pass.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
+    chunks = [range(start, min(start + chunk, len(dataset)))
+              for start in range(0, len(dataset), chunk)]
+    workers = cfg.pipeline_workers if perturb else 1
+    for indices, fields in zip(chunks, _eval_views(dataset, cache, perturb,
+                                                   chunks, workers)):
+        outputs = net.forward(fields, train=False)
+        del fields  # drop this chunk's views before awaiting the next
+        yield indices, outputs
+
+
+def _eval_views(dataset, cache, perturb, chunks, workers):
+    """Yield each chunk's list of views, in order, as `_forward_dataset`
+    describes."""
 
     def view(index):
         return cache.field_for(dataset, index, perturb)
 
-    chunks = [range(start, min(start + chunk, len(dataset)))
-              for start in range(0, len(dataset), chunk)]
-    workers = cfg.pipeline_workers if perturb else 1
-    for indices, fields in zip(chunks, _views_ahead(view, chunks, workers)):
-        outputs = net.forward(fields, train=False)
-        del fields  # drop this chunk's views before awaiting the next
-        yield indices, outputs
+    if workers == 1 or not cache.dir:
+        yield from _views_ahead(view, chunks, workers)
+        return
+    for at, indices in enumerate(chunks):
+        fields = []
+        for index in indices:
+            field = cache.field_for(dataset, index, perturb, build=False)
+            if field is None:
+                rest = _views_ahead(view, [indices[len(fields):]]
+                                    + chunks[at + 1:], workers)
+                yield fields + next(rest)
+                yield from rest
+                return
+            fields.append(field)
+        yield fields
 
 
 def evaluate_network(net, dataset, cache, cfg, perturb=(), chunk=64):
@@ -659,6 +686,11 @@ def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
     built afresh for this run's classes; with `freeze_probing` that is a
     head-only fine-tune. Since the config records the switch, such a run
     resumes like any other.
+
+    `TrainResult.displacement` is the bank's mean point travel from the
+    bank the run started with: the donor's, or else the config's init. A
+    resumed donor run measures from the config's init, since checkpoints
+    do not record the donor's bank.
     """
     if resume is not None and donor is not None:
         raise ValueError("resume and donor are mutually exclusive")
@@ -693,6 +725,7 @@ def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
             if block is None:
                 raise ValueError("donor checkpoint lacks block %r" % tensor.name)
             tensor.values[...] = block
+    start_locations = bank.locations.copy()
 
     master = np.random.default_rng(cfg.seed)
     start = 0
@@ -785,7 +818,8 @@ def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
     return TrainResult(config=cfg, checkpoint_path=final_path,
                        metrics_path=metrics_path, test_accuracy=accuracy,
                        confusion=confusion,
-                       displacement=probing_displacement(cfg, bank),
+                       displacement=probing_displacement(start_locations,
+                                                          bank),
                        net=net, bank=bank)
 
 
@@ -838,7 +872,14 @@ def _open_checkpoint(checkpoint_path, manifest_path, cache_dir):
     resolution and classes, and a field cache for its channels."""
     ck = load_checkpoint(checkpoint_path)
     cfg = TrainConfig.from_text(ck.config_text)
-    net, _, _ = build_model(cfg)
+    # a bank of the config's shape and no draw: the checkpoint's probing
+    # blocks fill it, and `load_model_state` refuses ones that are missing
+    # or of another shape
+    count, points = cfg.init_config.filter_count, cfg.points_per_filter
+    bank = FilterBank(np.zeros((count, points, 3), np.float32),
+                      np.zeros((count, points, cfg.channel_count), np.float32),
+                      cfg.resolution)
+    net, _, _ = build_model(cfg, bank)
     load_model_state(net, ck)
     dataset = ShapeDataset(manifest_path, cfg.resolution,
                            class_count=cfg.classes)

@@ -9,15 +9,25 @@ import numpy as np
 import pytest
 
 import fieldprobe
+from fieldprobe import trainer
 from fieldprobe.cli import build_parser, main
 from fieldprobe.field import load_field
-from fieldprobe.trainer import load_checkpoint
+from fieldprobe.ingest import parse_perturbation_modes
+from fieldprobe.trainer import (
+    FieldCache,
+    ShapeDataset,
+    TrainConfig,
+    load_checkpoint,
+    sample_seed,
+    save_checkpoint,
+)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fieldprobe.__file__)))
 
-# Runs the CLI on argv[3:] and exits the process, without flushing any
-# buffer (as SIGKILL would), just before or just after (argv[1]) a rename
-# onto a file named argv[2].
+# Runs the CLI on argv[3:] (a train, or an eval that writes view entries)
+# and exits the process, without flushing any buffer (as SIGKILL would),
+# just before or just after (argv[1]) a rename onto a file named argv[2],
+# on whichever thread makes it.
 EXIT_AT_RENAME = """
 import os, sys
 from fieldprobe.cli import main
@@ -183,6 +193,62 @@ class TestEval:
                      "--perturb", "R15+T01+S"])
         assert code == 0
         assert "accuracy:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_killed_at_view_entry_then_rerun(self, workspace, tmp_path,
+                                             capsys, monkeypatch, when):
+        # two pipeline workers, so a pass that builds views uses a pool
+        source = load_checkpoint(str(workspace / "run" / "final.fpck"))
+        text = source.config_text.replace("pipeline_workers=1",
+                                          "pipeline_workers=2")
+        ckpt = str(tmp_path / "wide.fpck")
+        save_checkpoint(ckpt, source.iteration, source.blocks, text,
+                        source.rng_state)
+        manifest = str(workspace / "data" / "test.tsv")
+        argv = ["eval", "--ckpt", ckpt, "--manifest", manifest,
+                "--perturb", "R15"]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+
+        cfg = TrainConfig.from_text(text)
+        views = tmp_path / "views"
+        ds = ShapeDataset(manifest, cfg.resolution)
+        entry = FieldCache(str(views), cfg.resolution, cfg.channels,
+                           cfg.samples_per_area)._path(
+            (ds.paths[3], sample_seed(ds.id(3))),
+            parse_perturbation_modes("R15"))
+        argv += ["--cache-dir", str(views)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        done = subprocess.run(
+            [sys.executable, "-c", EXIT_AT_RENAME, when,
+             os.path.basename(entry)] + argv,
+            cwd=str(tmp_path), env=env, capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 9, done.stderr[-2000:]
+        assert os.path.exists(entry) == (when == "after")
+        # the other worker may have been writing an entry of its own
+        leftovers = [name for name in os.listdir(views)
+                     if name.endswith(".tmp")]
+        assert any(name.startswith(os.path.basename(entry) + ".")
+                   for name in leftovers) == (when == "before")
+
+        # the rerun builds what the kill left out and scores as before
+        assert main(argv) == 0
+        assert capsys.readouterr().out == whole
+        assert len([name for name in os.listdir(views)
+                    if name.endswith(".fpf")]) == len(ds)
+
+        # a third pass, with the leftovers deleted, only loads: no pool
+        for name in leftovers:
+            os.remove(os.path.join(views, name))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == whole
 
 
 class TestExtractFeatures:

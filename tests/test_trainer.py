@@ -967,24 +967,83 @@ class TestEvaluation:
         assert len(seen[0][0]) == len(ds)
         assert all(pass_ == seen[0] for pass_ in seen)
 
-    def test_cached_eval_builds_no_pool(self, workbench, mini_run,
+    def test_cached_eval_builds_no_pool(self, workbench, mini_run, tmp_path,
                                         monkeypatch):
+        # unperturbed fields, and perturbed views once a first pass has
+        # written them, are only loaded: no pool. Views go to a fresh
+        # directory, so no other test's entries make the first pass warm
         cfg, result = mini_run
         ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
-        cache = FieldCache(workbench["cache"], cfg.resolution, cfg.channels)
         wide = dataclasses.replace(result.config, pipeline_workers=2)
-        expected = evaluate_network(result.net, ds, cache, wide)
+        modes = parse_perturbation_modes("R15")
+
+        def passes(views_dir):
+            plain = FieldCache(workbench["cache"], cfg.resolution,
+                               cfg.channels)
+            views = FieldCache(str(tmp_path / views_dir), cfg.resolution,
+                               cfg.channels)
+            return [evaluate_network(result.net, ds, plain, wide),
+                    evaluate_network(result.net, ds, views, wide,
+                                     perturb=modes)]
+
+        expected = passes("views")
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was created")
 
         monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
-        res = evaluate_network(result.net, ds, cache, wide)
-        np.testing.assert_array_equal(res.confusion, expected.confusion)
-        # the stub is the executor perturbed evaluation reaches for
+        for res, want in zip(passes("views"), expected):
+            assert res.accuracy == want.accuracy
+            np.testing.assert_array_equal(res.confusion, want.confusion)
+        # the stub is the executor a pass that builds views reaches for
         with pytest.raises(AssertionError, match="thread pool"):
-            evaluate_network(result.net, ds, cache, wide,
-                             perturb=parse_perturbation_modes("R15"))
+            passes("cold")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_inline_and_pooled_passes_agree(self, workbench, mini_run,
+                                            tmp_path, monkeypatch, workers):
+        # chunks of 4 over 6 samples, and the broken entry is sample 2, so
+        # a pass loads two views on the calling thread and hands the rest
+        # of the pass to the pool
+        cfg, result = mini_run
+        ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
+        modes = parse_perturbation_modes("R15+T01+S")
+        wide = dataclasses.replace(result.config, pipeline_workers=workers)
+        executor, pools = trainer.ThreadPoolExecutor, []
+
+        def counted(*args, **kwargs):
+            pools.append(1)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "ThreadPoolExecutor", counted)
+
+        def score(cache_dir):
+            del pools[:]
+            net = RecordingNetwork(result.net)
+            res = evaluate_network(
+                net, ds, FieldCache(cache_dir, cfg.resolution, cfg.channels),
+                wide, perturb=modes, chunk=4)
+            return ((net.views, [a.tobytes() for a in net.logits],
+                     res.accuracy, res.confusion.tolist()), len(pools))
+
+        cache_dir = str(tmp_path)
+        uncached, _ = score(None)
+        cold = score(cache_dir)
+        entry = FieldCache(cache_dir, cfg.resolution, cfg.channels)._path(
+            (ds.paths[2], sample_seed(ds.id(2))), modes)
+        whole = read_bytes(entry)
+        warm = score(cache_dir)
+        os.remove(entry)
+        missing = score(cache_dir)
+        assert read_bytes(entry) == whole
+        write_bytes(entry, whole[:len(whole) // 2])
+        truncated = score(cache_dir)
+        assert read_bytes(entry) == whole
+        passes = [cold, warm, missing, truncated]
+        assert all(seen == uncached for seen, _ in passes)
+        assert len(uncached[0]) == len(ds)
+        assert [count for _, count in passes] == \
+            ([1, 0, 1, 1] if workers > 1 else [0, 0, 0, 0])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_perturbed_passes_agree_with_and_without_cache(
@@ -1089,6 +1148,8 @@ class TestFineTune:
                                       source.blocks["probing.weights"])
         assert not np.array_equal(tuned.blocks["fc_out.weight"],
                                   source.blocks["fc_out.weight"])
+        # travel is measured from the donor's bank, which never moved
+        assert result.displacement == 0.0
 
     def test_full_fine_tune_moves_probing(self, workbench, mini_run,
                                           second_task):
@@ -1104,6 +1165,8 @@ class TestFineTune:
         tuned = load_checkpoint(result.checkpoint_path)
         assert not np.array_equal(tuned.blocks["probing.locations"],
                                   source.blocks["probing.locations"])
+        assert result.displacement == probing_displacement(
+            source.blocks["probing.locations"], result.bank)
 
     def test_donor_geometry_mismatch_rejected(self, mini_run, workbench,
                                               tmp_path):
@@ -1152,11 +1215,57 @@ class TestModelStateLoading:
         reference = init_filter_bank(result.config.init_config,
                                      result.config.resolution,
                                      channel_count=1, dtype=np.float32)
-        moved = probing_displacement(result.config, result.bank)
+        moved = probing_displacement(reference.locations, result.bank)
         manual = np.linalg.norm(
             result.bank.locations.astype(np.float64) - reference.locations,
             axis=2).mean()
         assert moved == pytest.approx(manual)
+
+    def test_checkpoint_bank_is_not_drawn(self, workbench, mini_run,
+                                          tmp_path, monkeypatch):
+        cfg, result = mini_run
+        ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
+        cache = FieldCache(workbench["cache"], cfg.resolution, cfg.channels)
+        x = [cache.field_for(ds, i) for i in range(len(ds))]
+        for layer in result.net.layers[:-1]:
+            x = layer.forward(x, train=False)
+        expected = "id,label," + ",".join(
+            "f%d" % i for i in range(x.shape[1])) + "\n" + "".join(
+            "%s,%d,%s\n" % (ds.id(i), ds.label(i),
+                            ",".join("%.9g" % v for v in row))
+            for i, row in enumerate(x))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a filter bank was drawn")
+
+        monkeypatch.setattr(trainer, "init_filter_bank", no_draw)
+        res = evaluate_checkpoint(result.checkpoint_path, workbench["test"],
+                                  cache_dir=workbench["cache"])
+        assert res.accuracy == result.test_accuracy
+        np.testing.assert_array_equal(res.confusion, result.confusion)
+        out = str(tmp_path / "features.csv")
+        extract_features(result.checkpoint_path, workbench["test"], out,
+                         cache_dir=workbench["cache"])
+        assert read_text(out) == expected
+
+    @pytest.mark.parametrize("block", ["probing.locations", "probing.weights"])
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "missing blocks: .*'%s'"),
+        ("shape", "block '%s' has shape"),
+    ])
+    def test_bad_probing_block_refused(self, workbench, mini_run, tmp_path,
+                                       block, fault, message):
+        cfg, result = mini_run
+        ck = load_checkpoint(result.checkpoint_path)
+        if fault == "missing":
+            del ck.blocks[block]
+        else:
+            ck.blocks[block] = ck.blocks[block][:, 1:]
+        path = str(tmp_path / "bad.fpck")
+        save_checkpoint(path, ck.iteration, ck.blocks, ck.config_text,
+                        ck.rng_state)
+        with pytest.raises(ValueError, match=message % block):
+            evaluate_checkpoint(path, workbench["test"])
 
 
 class TestGradientAudit:
