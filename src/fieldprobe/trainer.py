@@ -8,6 +8,10 @@ evaluation, and feature export. One switch decides what trains: the
 head always does, and the probing bank does unless `freeze_probing` is
 set. A run can start from a donor checkpoint's probing bank, which with
 `freeze_probing` is a head-only fine-tune.
+
+Views are made by one rule. A training batch or an evaluation pass that
+has perturbed views to build builds them on `pipeline_workers` threads;
+one that only reads cached fields reads them on the calling thread.
 """
 
 from __future__ import annotations
@@ -233,8 +237,7 @@ class ShapeDataset:
     are the same files resolved, which tell apart two manifests that list
     the same relative path."""
 
-    def __init__(self, manifest_path, resolution, class_count=0,
-                 margin=DEFAULT_MARGIN):
+    def __init__(self, manifest_path, resolution, class_count=0):
         entries = load_manifest(manifest_path)
         self.base = os.path.dirname(os.path.abspath(manifest_path))
         self.ids = [path for path, _ in entries]
@@ -249,7 +252,6 @@ class ShapeDataset:
                              % (top, class_count))
         self.class_count = int(class_count)
         self.resolution = int(resolution)
-        self.margin = margin
         self._shapes = {}
 
     def __len__(self):
@@ -266,7 +268,7 @@ class ShapeDataset:
         cached = self._shapes.get(index)
         if cached is None:
             raw = load_shape(self.paths[index], self.label(index))
-            cached = normalize(raw, self.resolution, self.margin)
+            cached = normalize(raw, self.resolution, DEFAULT_MARGIN)
             self._shapes[index] = cached
         return cached
 
@@ -277,16 +279,6 @@ def build_field(occ, channels):
         values = distance_field(occ, np.float32)[None]
         return Field3D(values, np.array([ROLE_DISTANCE], dtype=np.uint8))
     return field_from_occupancy(occ)
-
-
-def _view(cache, dataset, index, perturbation, vox_seed):
-    """One sample's input field at the cache's settings: the cached,
-    unaugmented field when `perturbation` is None, else the field of that
-    perturbed view of the normalized shape, voxelized with `vox_seed`.
-    Training builds its views here; evaluation asks the cache."""
-    if perturbation is None:
-        return cache.field_for(dataset, index)
-    return _build(cache, dataset.shape(index), perturbation, vox_seed)
 
 
 def _build(cache, shape, perturbation, vox_seed):
@@ -308,6 +300,11 @@ def eval_draw(modes, seed):
     return perturbation, int(rng.integers(2 ** 63))
 
 
+def _key(dataset, index):
+    """A sample's cache key: its resolved path and voxelization seed."""
+    return dataset.paths[index], sample_seed(dataset.id(index))
+
+
 def sample_seed(sample_id):
     """Stable voxelization seed for a manifest entry, independent of any
     generator state so cached fields never depend on training order."""
@@ -324,9 +321,11 @@ class FieldCache:
     sample's voxelization seed), and are kept on disk only: each
     `evaluate_checkpoint` call opens a new cache, and without a directory
     every pass builds them again. Training views are never cached, since
-    each follows its own draw from the master stream. Views (voxelize
-    plus EDT) are built on `pipeline_workers` threads; scipy's feature
-    transform, the floor of a view, releases the GIL, so builds overlap.
+    each follows its own draw from the master stream. A pass that finds
+    every one of its views on disk (`holds`) loads them on the calling
+    thread; any other perturbed pass builds and loads them on
+    `pipeline_workers` threads. scipy's feature transform, the floor of
+    a view, releases the GIL, so builds overlap.
 
     An entry is keyed on the shape's resolved path and its voxelization
     seed, which follows the manifest id, so its bytes depend neither on
@@ -366,16 +365,23 @@ class FieldCache:
         name = hashlib.sha1(tag.encode("utf-8")).hexdigest()[:24]
         return os.path.join(self.dir, name + suffix + ".fpf")
 
-    def field_for(self, dataset, index, perturb=(), build=True):
+    def holds(self, dataset, perturb):
+        """Whether every evaluation view of `dataset` under the protocol
+        `perturb` has an entry on disk. An entry that fails to parse
+        still counts: the pass that meets it rebuilds it."""
+        return bool(self.dir) and all(
+            os.path.exists(self._path(_key(dataset, index), perturb))
+            for index in range(len(dataset)))
+
+    def field_for(self, dataset, index, perturb=()):
         """The sample's unaugmented field or, with `perturb` modes, its
-        evaluation view under that protocol. With `build` False, an
-        evaluation view that is not whole on disk is None, not built."""
-        key = (dataset.paths[index], sample_seed(dataset.id(index)))
+        evaluation view under that protocol."""
+        key = _key(dataset, index)
         if perturb:
             # disk only, and outside the lock: each evaluation opens a new
             # cache, and pipeline workers build their misses side by side
-            return self._load_or_build(dataset, index, key, perturb, build)
-        # serialized so parallel pipeline workers never build one field twice
+            return self._load_or_build(dataset, index, key, perturb)
+        # serialized so concurrent callers never build one field twice
         with self._lock:
             field = self._memory.get(key)
             if field is None:
@@ -383,18 +389,15 @@ class FieldCache:
                 self._memory[key] = field
             return field
 
-    def _load_or_build(self, dataset, index, key, perturb, build=True):
-        """The disk entry, or the field built and written there (None
-        instead, without `build`). A missing or corrupt entry is a miss:
-        rebuilt and rewritten."""
+    def _load_or_build(self, dataset, index, key, perturb):
+        """The disk entry, or the field built and written there. A missing
+        or corrupt entry is a miss: rebuilt and rewritten."""
         path = self._path(key, perturb)
         if path and os.path.exists(path):
             try:
                 return load_field(path)
             except FormatError:
                 pass
-        if not build:
-            return None
         perturbation, vox_seed = (eval_draw(perturb, key[1]) if perturb
                                   else (None, key[1]))
         field = _build(self, dataset.shape(index), perturbation, vox_seed)
@@ -589,47 +592,29 @@ def _forward_dataset(net, dataset, cache, cfg, perturb=(), chunk=64):
     With `perturb` modes each view is the cache's evaluation view of the
     sample under that protocol, so repeated passes see identical inputs no
     matter what the training loop has consumed or how many threads build
-    them. Views that only have to be loaded are read on the calling
-    thread, where a pool would only add overhead: unaugmented fields, and
-    evaluation views while they are whole in the cache's directory. From
-    the first view that has to be built, which a cold pass meets at once,
-    the rest are built or loaded on `cfg.pipeline_workers` threads, one
-    chunk ahead of the forward pass.
+    them. The pass decides once where its views are made. A perturbed pass
+    whose views are not all in the cache's directory builds and loads them
+    on `cfg.pipeline_workers` threads, one chunk ahead of the forward pass.
+    Any other pass reads on the calling thread, where a pool would only
+    add overhead: its views are on disk, or its fields go through the
+    cache's lock one at a time. An entry that fails to parse is rebuilt
+    there.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     chunks = [range(start, min(start + chunk, len(dataset)))
               for start in range(0, len(dataset), chunk)]
-    workers = cfg.pipeline_workers if perturb else 1
-    for indices, fields in zip(chunks, _eval_views(dataset, cache, perturb,
-                                                   chunks, workers)):
-        outputs = net.forward(fields, train=False)
-        del fields  # drop this chunk's views before awaiting the next
-        yield indices, outputs
-
-
-def _eval_views(dataset, cache, perturb, chunks, workers):
-    """Yield each chunk's list of views, in order, as `_forward_dataset`
-    describes."""
+    workers = 1
+    if perturb and not cache.holds(dataset, perturb):
+        workers = cfg.pipeline_workers
 
     def view(index):
         return cache.field_for(dataset, index, perturb)
 
-    if workers == 1 or not cache.dir:
-        yield from _views_ahead(view, chunks, workers)
-        return
-    for at, indices in enumerate(chunks):
-        fields = []
-        for index in indices:
-            field = cache.field_for(dataset, index, perturb, build=False)
-            if field is None:
-                rest = _views_ahead(view, [indices[len(fields):]]
-                                    + chunks[at + 1:], workers)
-                yield fields + next(rest)
-                yield from rest
-                return
-            fields.append(field)
-        yield fields
+    for indices, fields in zip(chunks, _views_ahead(view, chunks, workers)):
+        outputs = net.forward(fields, train=False)
+        del fields  # drop this chunk's views before awaiting the next
+        yield indices, outputs
 
 
 def evaluate_network(net, dataset, cache, cfg, perturb=(), chunk=64):
@@ -751,12 +736,15 @@ def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
     sample_count = len(train_ds)
 
     def build_view(job):
-        return _view(cache, train_ds, *job)
+        index, perturbation, vox_seed = job
+        return _build(cache, train_ds.shape(index), perturbation, vox_seed)
 
     # All randomness is drawn on the main thread in a fixed order, so the
     # worker count changes wall time only, never batch content. Each batch
     # is built alone: queueing the next one would draw from `master` early
-    # and change the generator state checkpoints save.
+    # and change the generator state checkpoints save. An unaugmented
+    # batch only reads the cache, whose lock would serialize a pool's
+    # workers anyway, so it reads on this thread.
     with open(metrics_path, "w" if fresh_metrics else "a",
               encoding="utf-8") as metrics:
 
@@ -775,18 +763,16 @@ def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
             picks = master.integers(0, sample_count, size=cfg.batch_size)
             dropout_rng = np.random.default_rng(
                 int(master.integers(2 ** 63)))
-            labels = np.empty(cfg.batch_size, dtype=np.int64)
-            jobs = []
-            for slot, index in enumerate(picks):
-                index = int(index)
-                labels[slot] = train_ds.label(index)
-                if modes:
-                    jobs.append((index,
-                                 sample_perturbation(modes, master),
-                                 int(master.integers(2 ** 63))))
-                else:
-                    jobs.append((index, None, 0))
-            fields, = _views_ahead(build_view, [jobs], cfg.pipeline_workers)
+            labels = train_ds.labels[picks]
+            if modes:
+                # per pick, its perturbation and then its voxelization seed
+                jobs = [(int(index), sample_perturbation(modes, master),
+                         int(master.integers(2 ** 63))) for index in picks]
+                fields, = _views_ahead(build_view, [jobs],
+                                       cfg.pipeline_workers)
+            else:
+                fields = [cache.field_for(train_ds, int(index))
+                          for index in picks]
             opt.zero_grads()
             logits = net.forward(fields, train=True, rng=dropout_rng)
             loss, dlogits = softmax_cross_entropy(logits, labels)

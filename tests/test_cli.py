@@ -59,6 +59,35 @@ eval_every=5
 """
 
 
+def run_config(workspace, tmp_path, name, *edits):
+    """TRAIN_CFG written to `tmp_path`, reading the workspace's data and
+    writing to `name`, with each (old, new) text edit applied."""
+    text = TRAIN_CFG.replace("data/", str(workspace / "data") + "/") \
+        .replace("out_dir=run", "out_dir=" + name)
+    for old, new in edits:
+        text = text.replace(old, new)
+    path = tmp_path / (name + ".cfg")
+    path.write_text(text)
+    return str(path)
+
+
+def exit_at_rename(when, name, argv, cwd):
+    """Run the CLI on `argv` in a subprocess that exits `when` ("before"
+    or "after") the rename onto a file named `name`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run(
+        [sys.executable, "-c", EXIT_AT_RENAME, when, name] + argv,
+        cwd=str(cwd), env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 9, done.stderr[-2000:]
+
+
+def metrics_iterations(run):
+    lines = (run / "metrics.csv").read_text().splitlines()
+    assert lines[0] == "iteration,loss,train_acc,eval_acc,wall_ms"
+    return [int(line.split(",")[0]) for line in lines[1:]]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A generated two-class dataset plus one trained checkpoint."""
@@ -138,24 +167,14 @@ class TestTrain:
     ])
     def test_killed_at_checkpoint_then_resumed(self, workspace, tmp_path,
                                                when, resume):
-        def run_config(name):
-            cfg = tmp_path / (name + ".cfg")
-            cfg.write_text(TRAIN_CFG.replace("data/", str(workspace / "data")
-                                             + "/")
-                           .replace("out_dir=run", "out_dir=" + name)
-                           .replace("max_iterations=10", "max_iterations=20"))
-            return str(cfg)
+        def config(name):
+            return run_config(workspace, tmp_path, name,
+                              ("max_iterations=10", "max_iterations=20"))
 
-        assert main(["train", "--config", run_config("whole")]) == 0
-        killed = run_config("killed")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        done = subprocess.run(
-            [sys.executable, "-c", EXIT_AT_RENAME, when, "ckpt_000010.fpck",
-             "train", "--config", killed],
-            cwd=str(tmp_path), env=env, capture_output=True, text=True,
-            timeout=300)
-        assert done.returncode == 9, done.stderr[-2000:]
+        assert main(["train", "--config", config("whole")]) == 0
+        killed = config("killed")
+        exit_at_rename(when, "ckpt_000010.fpck",
+                       ["train", "--config", killed], tmp_path)
         run, whole = tmp_path / "killed", tmp_path / "whole"
         assert not (run / "final.fpck").exists()
         assert (run / "ckpt_000010.fpck").exists() == (when == "after")
@@ -163,10 +182,43 @@ class TestTrain:
                      "--resume", str(run / resume)]) == 0
         assert (run / "final.fpck").read_bytes() == \
             (whole / "final.fpck").read_bytes()
-        lines = (run / "metrics.csv").read_text().splitlines()
-        assert lines[0] == "iteration,loss,train_acc,eval_acc,wall_ms"
-        assert [int(line.split(",")[0]) for line in lines[1:]] == \
-            list(range(1, 21))
+        assert metrics_iterations(run) == list(range(1, 21))
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_killed_at_cache_entry_then_rerun(self, workspace, tmp_path,
+                                              when):
+        # each run starts on a cold cache of its own; the first evaluation,
+        # at iteration 5, writes the test samples' fields on the calling
+        # thread before ckpt_000005.fpck lands
+        def config(name):
+            return run_config(workspace, tmp_path, name,
+                              ("cache_dir=cache", "cache_dir=%s_cache" % name))
+
+        assert main(["train", "--config", config("whole")]) == 0
+        killed = config("killed")
+        cfg = TrainConfig.from_file(killed)
+        ds = ShapeDataset(cfg.test_manifest, cfg.resolution)
+        entry = FieldCache(cfg.cache_dir, cfg.resolution, cfg.channels,
+                           cfg.samples_per_area)._path(
+            (ds.paths[3], sample_seed(ds.id(3))), ())
+        exit_at_rename(when, os.path.basename(entry),
+                       ["train", "--config", killed], tmp_path)
+        run = tmp_path / "killed"
+        assert os.path.exists(entry) == (when == "after")
+        assert not (run / "ckpt_000005.fpck").exists()
+
+        # no checkpoint landed, so the rerun starts afresh
+        assert main(["train", "--config", killed]) == 0
+        assert (run / "final.fpck").read_bytes() == \
+            (tmp_path / "whole" / "final.fpck").read_bytes()
+        assert metrics_iterations(run) == list(range(1, 11))
+        entries = sorted(name for name in os.listdir(cfg.cache_dir)
+                         if name.endswith(".fpf"))
+        assert entries == sorted(
+            name for name in os.listdir(tmp_path / "whole_cache")
+            if name.endswith(".fpf"))
+        for name in entries:
+            load_field(os.path.join(cfg.cache_dir, name))
 
     def test_resume_flag(self, workspace, capsys):
         ckpt = str(workspace / "run" / "ckpt_000005.fpck")
@@ -218,14 +270,7 @@ class TestEval:
             (ds.paths[3], sample_seed(ds.id(3))),
             parse_perturbation_modes("R15"))
         argv += ["--cache-dir", str(views)]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        done = subprocess.run(
-            [sys.executable, "-c", EXIT_AT_RENAME, when,
-             os.path.basename(entry)] + argv,
-            cwd=str(tmp_path), env=env, capture_output=True, text=True,
-            timeout=300)
-        assert done.returncode == 9, done.stderr[-2000:]
+        exit_at_rename(when, os.path.basename(entry), argv, tmp_path)
         assert os.path.exists(entry) == (when == "after")
         # the other worker may have been writing an entry of its own
         leftovers = [name for name in os.listdir(views)

@@ -322,12 +322,16 @@ def refuse(*args, **kwargs):
     raise AssertionError("a view was built")
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was created")
+
+
 def fresh_eval_view(ds, index, modes, resolution=16, channels="distance"):
     """A sample's evaluation view built from its draw, with no cache."""
     perturbation, vox_seed = trainer.eval_draw(modes,
                                                sample_seed(ds.id(index)))
-    return trainer._view(FieldCache(None, resolution, channels), ds, index,
-                         perturbation, vox_seed)
+    return trainer._build(FieldCache(None, resolution, channels),
+                          ds.shape(index), perturbation, vox_seed)
 
 
 class TestEvalViewCache:
@@ -836,6 +840,28 @@ class TestTrainLoop:
         assert serial.rng_state == parallel.rng_state
         assert serial.config_text != parallel.config_text
 
+    def test_only_augmented_batches_use_the_pool(self, workbench, tmp_path,
+                                                 monkeypatch):
+        # an unaugmented batch only reads the cache, so it reads on the
+        # calling thread whatever the worker count, to the same bytes
+        def run(name, **overrides):
+            cfg = mini_config(workbench, tmp_path / name, max_iterations=15,
+                              checkpoint_every=0, eval_every=0, **overrides)
+            return load_checkpoint(train(cfg).checkpoint_path)
+
+        serial = run("w1")
+        monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
+        wide = run("w2", pipeline_workers=2)
+        assert wide.config_text == serial.config_text.replace(
+            "pipeline_workers=1", "pipeline_workers=2")
+        assert sorted(wide.blocks) == sorted(serial.blocks)
+        for name, block in serial.blocks.items():
+            assert block.tobytes() == wide.blocks[name].tobytes(), name
+        assert wide.rng_state == serial.rng_state
+        # the stub is the executor an augmented batch reaches for
+        with pytest.raises(AssertionError, match="thread pool"):
+            run("augmented", augmentation="R15", pipeline_workers=2)
+
     def test_resume_allows_worker_count_change(self, workbench, tmp_path):
         cfg = mini_config(workbench, tmp_path / "run", max_iterations=20,
                           checkpoint_every=10, eval_every=0)
@@ -970,7 +996,8 @@ class TestEvaluation:
     def test_cached_eval_builds_no_pool(self, workbench, mini_run, tmp_path,
                                         monkeypatch):
         # unperturbed fields, and perturbed views once a first pass has
-        # written them, are only loaded: no pool. Views go to a fresh
+        # written them, are only loaded: no pool, even with one entry
+        # truncated, which the pass rebuilds inline. Views go to a fresh
         # directory, so no other test's entries make the first pass warm
         cfg, result = mini_run
         ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
@@ -987,14 +1014,16 @@ class TestEvaluation:
                                      perturb=modes)]
 
         expected = passes("views")
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was created")
-
+        entry = FieldCache(str(tmp_path / "views"), cfg.resolution,
+                           cfg.channels)._path(
+            (ds.paths[4], sample_seed(ds.id(4))), modes)
+        whole = read_bytes(entry)
+        write_bytes(entry, whole[:len(whole) // 2])
         monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
         for res, want in zip(passes("views"), expected):
             assert res.accuracy == want.accuracy
             np.testing.assert_array_equal(res.confusion, want.confusion)
+        assert read_bytes(entry) == whole
         # the stub is the executor a pass that builds views reaches for
         with pytest.raises(AssertionError, match="thread pool"):
             passes("cold")
@@ -1002,9 +1031,10 @@ class TestEvaluation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_inline_and_pooled_passes_agree(self, workbench, mini_run,
                                             tmp_path, monkeypatch, workers):
-        # chunks of 4 over 6 samples, and the broken entry is sample 2, so
-        # a pass loads two views on the calling thread and hands the rest
-        # of the pass to the pool
+        # chunks of 4 over 6 samples, and the broken entry is sample 2, in
+        # the middle of the first chunk. A pass decides once: one with the
+        # entry missing runs wholly on the pool, and one with the entry
+        # truncated runs on the calling thread, which rebuilds it there
         cfg, result = mini_run
         ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
         modes = parse_perturbation_modes("R15+T01+S")
@@ -1043,7 +1073,7 @@ class TestEvaluation:
         assert all(seen == uncached for seen, _ in passes)
         assert len(uncached[0]) == len(ds)
         assert [count for _, count in passes] == \
-            ([1, 0, 1, 1] if workers > 1 else [0, 0, 0, 0])
+            ([1, 0, 1, 0] if workers > 1 else [0, 0, 0, 0])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_perturbed_passes_agree_with_and_without_cache(
