@@ -22,19 +22,14 @@ from .probing import InitConfig, ProbingLayer, init_filter_bank, mac_count
 
 BENCH_HEADER = "resolution,kind,mean_ms,std_ms,macs,bytes"
 
-MODES = ("fixed-stride", "fixed-S")
-
 WARMUPS = 3
 
 
 @dataclasses.dataclass(frozen=True)
 class ConvConfig:
-    """A cubic kernel slid over S positions per axis.
-
-    The stride is implied by the volume: the largest step that keeps all
-    S positions inside, (resolution - kernel) // (positions - 1). The
-    placement must satisfy (S-1)*stride + K <= R with stride >= 1.
-    """
+    """A cubic kernel slid over S positions per axis. `positions` is the
+    stock count; `run_bench` sets the count its stride fits in each
+    resolution."""
 
     kernel: int = 6
     channels_out: int = 48
@@ -48,31 +43,19 @@ class ConvConfig:
         if self.positions < 1:
             raise ValueError("positions must be >= 1")
 
-    def implied_stride(self, resolution):
-        if self.positions == 1:
-            if self.kernel > resolution:
-                raise ValueError("kernel %d does not fit in resolution %d"
-                                 % (self.kernel, resolution))
-            return 0
-        stride = (resolution - self.kernel) // (self.positions - 1)
-        if stride < 1:
-            raise ValueError(
-                "%d positions of kernel %d do not fit in resolution %d"
-                % (self.positions, self.kernel, resolution))
-        return stride
-
     def macs(self):
         """Multiply-accumulates for one single-channel input volume."""
         return self.kernel ** 3 * self.channels_out * self.positions ** 3
 
 
-def conv3d_reference(volume, cfg: ConvConfig, weights):
+def conv3d_reference(volume, cfg: ConvConfig, weights, stride):
     """Direct dense 3D convolution, forward only.
 
     `volume` is a cubic (R, R, R) array with one input channel; `weights`
-    is (C_out, K, K, K). Evaluates every sliding position as one
-    patch-times-weights product, which is the honest naive cost.
-    Returns (C_out, S, S, S) in float64.
+    is (C_out, K, K, K). The kernel slides `stride` voxels between its S
+    positions per axis, which must satisfy (S-1)*stride + K <= R.
+    Evaluates every sliding position as one patch-times-weights product,
+    which is the honest naive cost. Returns (C_out, S, S, S) in float64.
     """
     volume = np.asarray(volume, dtype=np.float64)
     if volume.ndim != 3 or len(set(volume.shape)) != 1:
@@ -83,9 +66,12 @@ def conv3d_reference(volume, cfg: ConvConfig, weights):
     if weights.shape != (cfg.channels_out, k, k, k):
         raise ValueError("weights must be (C_out, K, K, K) = %s, got %s"
                          % ((cfg.channels_out, k, k, k), weights.shape))
-    resolution = volume.shape[0]
-    stride = cfg.implied_stride(resolution)
     s = cfg.positions
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if (s - 1) * stride + k > volume.shape[0]:
+        raise ValueError("%d positions of kernel %d at stride %d do not fit "
+                         "in resolution %d" % (s, k, stride, volume.shape[0]))
     flat = weights.reshape(cfg.channels_out, -1)
     out = np.empty((cfg.channels_out, s, s, s), dtype=np.float64)
     for iz in range(s):
@@ -141,18 +127,18 @@ def _machine_info():
         platform.platform(), platform.python_version(), np.__version__)
 
 
-def _time_callable(fn, reps, min_seconds=1e-3):
+def _time_callable(fn, reps):
     """Mean/std wall milliseconds per call over >= `reps` measurements.
 
-    Each measurement runs the callable enough times that the monotonic
-    clock resolves it (auto-scaled inner loop), then divides back down to
-    a single call. The callable must be warm.
+    Each measurement runs the callable enough times to fill 1 ms, which
+    the monotonic clock resolves (auto-scaled inner loop), then divides
+    back down to a single call. The callable must be warm.
     """
     reps = max(10, int(reps))
     t0 = time.perf_counter()
     fn()
     probe = max(time.perf_counter() - t0, 1e-9)
-    inner = max(1, int(np.ceil(min_seconds / probe)))
+    inner = max(1, int(np.ceil(1e-3 / probe)))
     samples = np.empty(reps, dtype=np.float64)
     for i in range(reps):
         t0 = time.perf_counter()
@@ -183,32 +169,26 @@ def _probing_setup(init_cfg, resolution, channel_count, rng):
     return once, mac_count(bank), touched
 
 
-def _conv_setup(conv_cfg, resolution, rng):
+def _conv_setup(conv_cfg, stride, resolution, rng):
     volume = rng.standard_normal((resolution,) * 3)
     weights = rng.standard_normal((conv_cfg.channels_out,)
                                   + (conv_cfg.kernel,) * 3)
-    conv_cfg.implied_stride(resolution)  # fail fast on a bad fit
 
     def once():
-        conv3d_reference(volume, conv_cfg, weights)
+        conv3d_reference(volume, conv_cfg, weights, stride)
 
     return once, conv_cfg.macs(), volume.nbytes + weights.nbytes
 
 
-def run_bench(resolutions, init_cfg=None, conv_cfg=None, mode="fixed-stride",
-              stride=2, channel_count=4, reps=10, seed=0):
+def run_bench(resolutions, init_cfg=None, conv_cfg=None, stride=2,
+              channel_count=4, reps=10, seed=0):
     """Time probing forward+backward and conv forward at each resolution.
 
-    `mode` picks how the convolution scales: "fixed-stride" (default)
-    keeps the stride and lets the position count S grow with resolution,
-    reproducing the cubic blow-up; "fixed-S" keeps S and stretches the
-    stride, isolating kernel cost. The probing bank is re-initialized
-    per resolution but its MAC count never changes. The bytes column
-    counts input plus parameter bytes one pass reads.
+    The convolution keeps `stride`, so its position count S grows with
+    resolution, reproducing the cubic blow-up. The probing bank is
+    re-initialized per resolution but its MAC count never changes. The
+    bytes column counts input plus parameter bytes one pass reads.
     """
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s, got %r"
-                         % ("/".join(MODES), mode))
     resolutions = [int(r) for r in resolutions]
     if not resolutions:
         raise ValueError("need at least one resolution")
@@ -219,19 +199,16 @@ def run_bench(resolutions, init_cfg=None, conv_cfg=None, mode="fixed-stride",
     setups = []
     for resolution in resolutions:
         rng = np.random.default_rng((seed, resolution))
-        if mode == "fixed-stride":
-            if resolution < conv_cfg.kernel + stride:
-                raise ValueError("resolution %d too small for kernel %d at "
-                                 "stride %d" % (resolution, conv_cfg.kernel,
-                                                stride))
-            positions = (resolution - conv_cfg.kernel) // stride + 1
-            cfg_r = dataclasses.replace(conv_cfg, positions=positions)
-        else:
-            cfg_r = conv_cfg
+        if resolution < conv_cfg.kernel + stride:
+            raise ValueError("resolution %d too small for kernel %d at "
+                             "stride %d" % (resolution, conv_cfg.kernel,
+                                            stride))
+        positions = (resolution - conv_cfg.kernel) // stride + 1
+        cfg_r = dataclasses.replace(conv_cfg, positions=positions)
         setups.append((resolution, "probing") + _probing_setup(
             init_cfg, resolution, channel_count, rng))
         setups.append((resolution, "conv")
-                      + _conv_setup(cfg_r, resolution, rng))
+                      + _conv_setup(cfg_r, stride, resolution, rng))
     # Warm every resolution before any row is timed: the first row timed
     # on a cold heap reads slow, which biases t(high)/t(low) low.
     for _, _, fn, _, _ in setups:

@@ -106,11 +106,10 @@ def _cmd_bench(args):
     init_cfg = InitConfig(grid_divisions=args.grid_divisions,
                           filters_per_cell=args.filters_per_cell,
                           points_per_filter=args.points_per_filter)
-    conv_cfg = ConvConfig(kernel=args.kernel, channels_out=args.conv_channels,
-                          positions=args.positions)
+    conv_cfg = ConvConfig(kernel=args.kernel, channels_out=args.conv_channels)
     report = run_bench(resolutions, init_cfg=init_cfg, conv_cfg=conv_cfg,
-                       mode=args.mode, stride=args.stride,
-                       channel_count=args.channel_count, reps=args.reps)
+                       stride=args.stride, channel_count=args.channel_count,
+                       reps=args.reps)
     for row in report.rows:
         print("%4d %-10s %10.3f ms (+/- %.3f)  %12d MACs" %
               (row.resolution, row.kind, row.mean_ms, row.std_ms, row.macs))
@@ -181,13 +180,13 @@ def build_parser():
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("bench",
-                       help="time probing vs dense 3D convolution")
+                       help="time probing vs fixed-stride 3D convolution")
     p.add_argument("--resolutions", default="16,32,64",
                    help="comma list of grid resolutions")
     p.add_argument("--out", default="", help="write the report CSV here")
-    p.add_argument("--mode", default="fixed-stride",
-                   choices=["fixed-stride", "fixed-S"])
-    p.add_argument("--stride", type=int, default=2)
+    p.add_argument("--stride", type=int, default=2,
+                   help="convolution stride, kept at every resolution, so "
+                        "the sliding positions grow with resolution")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--grid-divisions", type=int, default=4)
     p.add_argument("--filters-per-cell", type=int, default=16)
@@ -195,8 +194,6 @@ def build_parser():
     p.add_argument("--channel-count", type=int, default=4)
     p.add_argument("--kernel", type=int, default=6)
     p.add_argument("--conv-channels", type=int, default=48)
-    p.add_argument("--positions", type=int, default=12,
-                   help="sliding positions per axis (fixed-S mode)")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -151,11 +151,12 @@ def normal_field(distance: np.ndarray) -> np.ndarray:
     return normals
 
 
-def field_from_occupancy(occ: OccupancyGrid, dtype=np.float32) -> Field3D:
-    """The standard 4-channel field stack: distance plus its surface normals."""
+def field_from_occupancy(occ: OccupancyGrid) -> Field3D:
+    """The standard 4-channel field stack: distance plus its surface normals,
+    in float32, the width a `.fpf` file stores."""
     dist = distance_field(occ)
     normals = normal_field(dist)
-    values = np.concatenate([dist[None], normals]).astype(dtype)
+    values = np.concatenate([dist[None], normals]).astype(np.float32)
     return Field3D(values, [ROLE_DISTANCE, ROLE_NORMAL_X, ROLE_NORMAL_Y, ROLE_NORMAL_Z])
 
 

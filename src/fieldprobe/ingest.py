@@ -232,16 +232,15 @@ def write_xyz(shape: ShapeSample) -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
-def normalize(shape: ShapeSample, resolution: int, margin: float = DEFAULT_MARGIN) -> ShapeSample:
+def normalize(shape: ShapeSample, resolution: int) -> ShapeSample:
     """Translate and uniformly scale a shape into the grid frame: bounding-box
-    center at the grid center, longest axis spanning resolution - 2*margin
-    voxels. Idempotent (an already-normalized shape is returned as a copy)."""
+    center at the grid center, longest axis spanning resolution -
+    2*DEFAULT_MARGIN voxels. Idempotent (an already-normalized shape is
+    returned as a copy)."""
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
-    if not 0 <= margin < resolution / 4:
-        raise ValueError(f"margin must be in [0, resolution/4), got {margin}")
 
-    frame = GridFrame(resolution, margin)
+    frame = GridFrame(resolution, DEFAULT_MARGIN)
     lo = shape.vertices.min(axis=0)
     hi = shape.vertices.max(axis=0)
     extent = float((hi - lo).max())

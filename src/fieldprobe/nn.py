@@ -15,6 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# BatchNorm's running-stats decay and variance floor; checkpoints hold
+# neither, so a model is always rebuilt with these
+BN_MOMENTUM = 0.9
+BN_EPSILON = 1e-5
+
 
 class Tensor:
     """A parameter block: values plus a same-shape gradient buffer.
@@ -83,13 +88,11 @@ class BatchNorm:
     statistics (variance with denominator N) and maintains running stats by
     exponential moving average; eval mode applies the running stats."""
 
-    def __init__(self, features, momentum=0.9, epsilon=1e-5, name="bn", dtype=np.float32):
+    def __init__(self, features, name="bn", dtype=np.float32):
         self.gamma = Tensor(np.ones(features, dtype=dtype), name=f"{name}.gamma", decay=False)
         self.beta = Tensor(np.zeros(features, dtype=dtype), name=f"{name}.beta", decay=False)
         self.running_mean = np.zeros(features, dtype=dtype)
         self.running_var = np.ones(features, dtype=dtype)
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.name = name
         self._cache = None
 
@@ -109,14 +112,14 @@ class BatchNorm:
                 raise ValueError(f"{self.name}: batch norm needs a batch of >= 2 in train mode")
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + self.epsilon)
+            inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
             xhat = (x - mean) * inv_std
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean[:] = m * self.running_mean + (1 - m) * mean
             self.running_var[:] = m * self.running_var + (1 - m) * var
             self._cache = (xhat, inv_std)
         else:
-            inv_std = 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.epsilon)
+            inv_std = 1.0 / np.sqrt(self.running_var.astype(np.float64) + BN_EPSILON)
             xhat = (x - self.running_mean) * inv_std
             self._cache = None
         return self.gamma.values * xhat + self.beta.values

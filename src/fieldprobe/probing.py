@@ -272,18 +272,19 @@ class ProbingLayer:
     has no parameters and reads no field gradients.
     """
 
-    def __init__(self, bank: FilterBank, sigma, name="probing", frozen=False):
+    name = "probing"
+
+    def __init__(self, bank: FilterBank, sigma, frozen=False):
         if sigma <= 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.bank = bank
         self.sigma = float(sigma)
-        self.name = name
         self.frozen = bool(frozen)
         self.locations = Tensor(bank.locations, grad=bank.location_gradients,
-                                name=name + ".locations", decay=False,
+                                name=self.name + ".locations", decay=False,
                                 rate=LOCATION_RATE)
         self.weights = Tensor(bank.weights, grad=bank.weight_gradients,
-                              name=name + ".weights", decay=True)
+                              name=self.name + ".weights", decay=True)
         self._cache = None
 
     def params(self):

@@ -126,12 +126,7 @@ def make_sphere(rng, jitter):
     for j in range(sectors):
         faces.append((0, ring(1, j), ring(1, j + 1)))
         faces.append((1, ring(stacks - 1, j + 1), ring(stacks - 1, j)))
-    for i in range(1, stacks - 1):
-        for j in range(sectors):
-            a, b = ring(i, j), ring(i + 1, j)
-            c, d = ring(i + 1, j + 1), ring(i, j + 1)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
+    faces += _grid_quads(stacks - 2, sectors, lambda i, j: ring(i + 1, j))
     return np.asarray(verts, dtype=np.float64), np.asarray(faces, np.int64)
 
 

@@ -268,7 +268,7 @@ class ShapeDataset:
         cached = self._shapes.get(index)
         if cached is None:
             raw = load_shape(self.paths[index], self.label(index))
-            cached = normalize(raw, self.resolution, DEFAULT_MARGIN)
+            cached = normalize(raw, self.resolution)
             self._shapes[index] = cached
         return cached
 
@@ -344,6 +344,10 @@ class FieldCache:
         self.resolution = int(resolution)
         self.channels = channels
         self.samples_per_area = float(samples_per_area)
+        # the density in full, as the config text records it: two that
+        # agree to six digits are still two entries
+        self._tag = "%d|%s|%r" % (self.resolution, channels,
+                                  self.samples_per_area)
         self._memory = {}
         self._lock = threading.Lock()
         if self.dir:
@@ -355,8 +359,7 @@ class FieldCache:
         if not self.dir:
             return None
         shape_path, seed = key
-        tag = "%s|%d|%d|%s|%g" % (shape_path, seed, self.resolution,
-                                  self.channels, self.samples_per_area)
+        tag = "%s|%d|%s" % (shape_path, seed, self._tag)
         suffix = ""
         if perturb:
             protocol = "+".join(perturb)

@@ -17,10 +17,7 @@ def brute_conv(volume, weights, stride):
     c_out = weights.shape[0]
     k = weights.shape[1]
     r = volume.shape[0]
-    if stride > 0:
-        s = (r - k) // stride + 1
-    else:
-        s = 1
+    s = (r - k) // stride + 1
     out = np.zeros((c_out, s, s, s), dtype=np.float64)
     for c in range(c_out):
         for iz in range(s):
@@ -51,21 +48,6 @@ class TestConvConfig:
         with pytest.raises(ValueError):
             ConvConfig(**bad)
 
-    def test_implied_stride(self):
-        # (16 - 6) // (6 - 1) = 2, placement (6-1)*2 + 6 = 16 <= 16
-        assert ConvConfig(kernel=6, positions=6).implied_stride(16) == 2
-        assert ConvConfig(kernel=3, positions=3).implied_stride(8) == 2
-        assert ConvConfig(kernel=6, positions=12).implied_stride(64) == 5
-
-    def test_single_position_has_zero_stride(self):
-        assert ConvConfig(kernel=4, positions=1).implied_stride(4) == 0
-
-    def test_does_not_fit(self):
-        with pytest.raises(ValueError, match="do not fit"):
-            ConvConfig(kernel=6, positions=12).implied_stride(16)
-        with pytest.raises(ValueError, match="does not fit"):
-            ConvConfig(kernel=9, positions=1).implied_stride(8)
-
     def test_mac_count_full_scale_settings(self):
         # 6^3 * 48 * 12^3 = 216 * 48 * 1728
         assert ConvConfig(kernel=6, channels_out=48,
@@ -85,9 +67,7 @@ class TestConvReference:
         rng = np.random.default_rng(0)
         volume = rng.standard_normal((8, 8, 8))
         cfg = ConvConfig(kernel=1, channels_out=1, positions=4)
-        out = conv3d_reference(volume, cfg, np.ones((1, 1, 1, 1)))
-        stride = cfg.implied_stride(8)  # (8-1)//3 = 2
-        assert stride == 2
+        out = conv3d_reference(volume, cfg, np.ones((1, 1, 1, 1)), 2)
         np.testing.assert_array_equal(out[0], volume[::2, ::2, ::2][:4, :4, :4])
 
     def test_constant_input(self):
@@ -95,25 +75,26 @@ class TestConvReference:
         rng = np.random.default_rng(1)
         weights = rng.standard_normal((3, 3, 3, 3))
         volume = np.full((9, 9, 9), 2.5)
-        out = conv3d_reference(volume, ConvConfig(3, 3, 4), weights)
+        out = conv3d_reference(volume, ConvConfig(3, 3, 4), weights, 2)
         want = 2.5 * weights.reshape(3, -1).sum(axis=1)
         want = np.broadcast_to(want[:, None, None, None], out.shape)
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
-    @pytest.mark.parametrize("resolution,kernel,positions", [
-        (8, 3, 3), (8, 2, 4), (7, 3, 2), (6, 2, 5), (5, 5, 1),
+    @pytest.mark.parametrize("resolution,kernel,stride", [
+        (8, 3, 2), (8, 2, 2), (7, 3, 4), (6, 2, 1), (5, 5, 1),
     ])
-    def test_matches_brute_force_exactly(self, resolution, kernel, positions):
+    def test_matches_brute_force_exactly(self, resolution, kernel, stride):
         # Integer-valued inputs keep every partial sum an exact float64
         # integer, so the vectorized path and the scalar loops must agree
         # bit for bit.
+        positions = (resolution - kernel) // stride + 1
         rng = np.random.default_rng((resolution, kernel, positions))
         volume = rng.integers(-4, 5, size=(resolution,) * 3).astype(np.float64)
         weights = rng.integers(-3, 4, size=(2,) + (kernel,) * 3).astype(
             np.float64)
         cfg = ConvConfig(kernel=kernel, channels_out=2, positions=positions)
-        got = conv3d_reference(volume, cfg, weights)
-        want = brute_conv(volume, weights, cfg.implied_stride(resolution))
+        got = conv3d_reference(volume, cfg, weights, stride)
+        want = brute_conv(volume, weights, stride)
         np.testing.assert_array_equal(got, want)
 
     def test_matches_brute_force_float(self):
@@ -121,29 +102,60 @@ class TestConvReference:
         volume = rng.standard_normal((8, 8, 8))
         weights = rng.standard_normal((2, 3, 3, 3))
         cfg = ConvConfig(kernel=3, channels_out=2, positions=3)
-        got = conv3d_reference(volume, cfg, weights)
+        got = conv3d_reference(volume, cfg, weights, 2)
         want = brute_conv(volume, weights, 2)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_output_shape(self):
         out = conv3d_reference(np.zeros((16, 16, 16)), ConvConfig(6, 5, 6),
-                               np.zeros((5, 6, 6, 6)))
+                               np.zeros((5, 6, 6, 6)), 2)
         assert out.shape == (5, 6, 6, 6)
         assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("resolution,kernel,positions,stride", [
+        (16, 6, 6, 2),   # (6-1)*2 + 6 = 16, a tight fit
+        (8, 3, 3, 2),
+        (64, 6, 12, 5),  # (12-1)*5 + 6 = 61
+        (4, 4, 1, 1),    # one position covers the whole volume
+    ])
+    def test_placement_fits(self, resolution, kernel, positions, stride):
+        cfg = ConvConfig(kernel=kernel, channels_out=1, positions=positions)
+        out = conv3d_reference(np.zeros((resolution,) * 3), cfg,
+                               np.zeros((1,) + (kernel,) * 3), stride)
+        assert out.shape == (1, positions, positions, positions)
+
+    @pytest.mark.parametrize("resolution,kernel,positions,stride", [
+        (16, 6, 12, 1),  # (12-1)*1 + 6 = 17 > 16
+        (16, 6, 6, 3),
+        (8, 9, 1, 1),
+    ])
+    def test_does_not_fit(self, resolution, kernel, positions, stride):
+        cfg = ConvConfig(kernel=kernel, channels_out=1, positions=positions)
+        with pytest.raises(ValueError, match="do not fit"):
+            conv3d_reference(np.zeros((resolution,) * 3), cfg,
+                             np.zeros((1,) + (kernel,) * 3), stride)
+
+    def test_rejects_zero_stride(self):
+        with pytest.raises(ValueError, match="stride"):
+            conv3d_reference(np.zeros((8, 8, 8)), ConvConfig(2, 1, 3),
+                             np.zeros((1, 2, 2, 2)), 0)
 
     def test_rejects_bad_volume(self):
         cfg = ConvConfig(2, 1, 2)
         with pytest.raises(ValueError, match="cubic"):
-            conv3d_reference(np.zeros((4, 4)), cfg, np.zeros((1, 2, 2, 2)))
+            conv3d_reference(np.zeros((4, 4)), cfg, np.zeros((1, 2, 2, 2)), 1)
         with pytest.raises(ValueError, match="cubic"):
-            conv3d_reference(np.zeros((4, 4, 5)), cfg, np.zeros((1, 2, 2, 2)))
+            conv3d_reference(np.zeros((4, 4, 5)), cfg, np.zeros((1, 2, 2, 2)),
+                             1)
 
     def test_rejects_bad_weights(self):
         cfg = ConvConfig(2, 1, 2)
         with pytest.raises(ValueError, match="weights"):
-            conv3d_reference(np.zeros((4, 4, 4)), cfg, np.zeros((1, 3, 3, 3)))
+            conv3d_reference(np.zeros((4, 4, 4)), cfg, np.zeros((1, 3, 3, 3)),
+                             1)
         with pytest.raises(ValueError, match="weights"):
-            conv3d_reference(np.zeros((4, 4, 4)), cfg, np.zeros((2, 2, 2, 2)))
+            conv3d_reference(np.zeros((4, 4, 4)), cfg, np.zeros((2, 2, 2, 2)),
+                             1)
 
 
 def tiny_bench(**overrides):
@@ -195,26 +207,23 @@ class TestRunBench:
         with pytest.raises(KeyError):
             report.row(9, "probing")
 
-    def test_fixed_s_keeps_conv_macs(self):
-        report = tiny_bench(resolutions=[8, 12], mode="fixed-S",
-                            conv_cfg=ConvConfig(kernel=2, channels_out=2,
-                                                positions=4))
-        macs = {row.macs for row in report.rows if row.kind == "conv"}
-        assert macs == {8 * 2 * 4 ** 3}
+    def test_convolution_keeps_the_requested_stride(self, monkeypatch):
+        # (10 - 2) // 3 + 1 = 3 positions, which would also fit at stride 4
+        strides = set()
+        reference = bench.conv3d_reference
 
-    def test_fixed_s_rejects_small_resolution(self):
-        with pytest.raises(ValueError, match="do not fit"):
-            tiny_bench(resolutions=[5], mode="fixed-S",
-                       conv_cfg=ConvConfig(kernel=2, channels_out=1,
-                                           positions=5))
+        def spy(volume, cfg, weights, stride):
+            strides.add(stride)
+            return reference(volume, cfg, weights, stride)
+
+        monkeypatch.setattr(bench, "conv3d_reference", spy)
+        report = tiny_bench(resolutions=[10], stride=3)
+        assert strides == {3}
+        assert report.row(10, "conv").macs == 8 * 2 * 3 ** 3
 
     def test_fixed_stride_rejects_small_resolution(self):
         with pytest.raises(ValueError, match="too small"):
             tiny_bench(resolutions=[3])
-
-    def test_mode_validated(self):
-        with pytest.raises(ValueError, match="mode"):
-            tiny_bench(mode="adaptive")
 
     def test_needs_resolutions(self):
         with pytest.raises(ValueError, match="resolution"):
@@ -239,7 +248,7 @@ class TestRunBench:
         monkeypatch.setattr(bench, "_probing_setup",
                             lambda init, r, t, rng: (kernel("probing", r), 1, 1))
         monkeypatch.setattr(bench, "_conv_setup",
-                            lambda cfg, r, rng: (kernel("conv", r), 1, 1))
+                            lambda cfg, stride, r, rng: (kernel("conv", r), 1, 1))
         report = tiny_bench(resolutions=[8, 12, 16])
         assert {row.resolution for row in report.rows} == {8, 12, 16}
         first = events.index("clock")

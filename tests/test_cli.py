@@ -2,6 +2,7 @@
 
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -43,6 +44,30 @@ os.replace = replace_and_exit
 main(sys.argv[3:])
 """
 
+# Runs `fieldprobe train` on argv[2:] and sends itself SIGKILL inside the
+# first iteration that finds, in the run directory argv[1], a whole
+# metrics.csv row past the newest checkpoint: between two checkpoint
+# writes, so no rename is in flight.
+KILL_PAST_CHECKPOINT = """
+import glob, os, signal, sys
+from fieldprobe import trainer
+from fieldprobe.cli import main
+run = sys.argv[1]
+loss = trainer.softmax_cross_entropy
+def rows_past_checkpoint():
+    done = [int(os.path.basename(path)[5:11])
+            for path in glob.glob(os.path.join(run, "ckpt_*.fpck"))]
+    with open(os.path.join(run, "metrics.csv"), "rb") as handle:
+        rows = handle.read().split(b"\\n")[1:-1]
+    return bool(done and rows) and int(rows[-1].split(b",")[0]) > max(done)
+def loss_or_kill(*args):
+    if rows_past_checkpoint():
+        os.kill(os.getpid(), signal.SIGKILL)
+    return loss(*args)
+trainer.softmax_cross_entropy = loss_or_kill
+main(sys.argv[2:])
+"""
+
 TRAIN_CFG = """\
 train_manifest=data/train.tsv
 test_manifest=data/test.tsv
@@ -71,14 +96,20 @@ def run_config(workspace, tmp_path, name, *edits):
     return str(path)
 
 
+def run_harness(script, args, cwd):
+    """Run `script` with `args` in a subprocess that imports this tree's
+    fieldprobe; returns the finished process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run([sys.executable, "-c", script] + args,
+                          cwd=str(cwd), env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
 def exit_at_rename(when, name, argv, cwd):
     """Run the CLI on `argv` in a subprocess that exits `when` ("before"
     or "after") the rename onto a file named `name`."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    done = subprocess.run(
-        [sys.executable, "-c", EXIT_AT_RENAME, when, name] + argv,
-        cwd=str(cwd), env=env, capture_output=True, text=True, timeout=300)
+    done = run_harness(EXIT_AT_RENAME, [when, name] + argv, cwd)
     assert done.returncode == 9, done.stderr[-2000:]
 
 
@@ -219,6 +250,31 @@ class TestTrain:
             if name.endswith(".fpf"))
         for name in entries:
             load_field(os.path.join(cfg.cache_dir, name))
+
+    def test_killed_between_iterations_then_resumed(self, workspace,
+                                                    tmp_path):
+        # 400 rows outgrow metrics.csv's write buffer, so rows past a
+        # checkpoint reach the file before the next checkpoint does
+        def config(name):
+            return run_config(workspace, tmp_path, name,
+                              ("max_iterations=10", "max_iterations=900"),
+                              ("checkpoint_every=5", "checkpoint_every=400"),
+                              ("eval_every=5", "eval_every=400"))
+
+        assert main(["train", "--config", config("whole")]) == 0
+        killed = config("killed")
+        run = tmp_path / "killed"
+        done = run_harness(KILL_PAST_CHECKPOINT,
+                           [str(run), "train", "--config", killed], tmp_path)
+        assert done.returncode == -signal.SIGKILL, done.stderr[-2000:]
+        assert sorted(os.listdir(run)) == ["ckpt_000400.fpck", "metrics.csv"]
+        whole_rows = (run / "metrics.csv").read_bytes().split(b"\n")[1:-1]
+        assert int(whole_rows[-1].split(b",")[0]) > 400
+        assert main(["train", "--config", killed,
+                     "--resume", str(run / "ckpt_000400.fpck")]) == 0
+        assert (run / "final.fpck").read_bytes() == \
+            (tmp_path / "whole" / "final.fpck").read_bytes()
+        assert metrics_iterations(run) == list(range(1, 901))
 
     def test_resume_flag(self, workspace, capsys):
         ckpt = str(workspace / "run" / "ckpt_000005.fpck")

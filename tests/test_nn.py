@@ -105,7 +105,7 @@ class TestBatchNorm:
             bn.forward(np.zeros((1, 4)), train=True)
 
     def test_running_stats_ema(self):
-        bn = BatchNorm(1, momentum=0.9, dtype=np.float64)
+        bn = BatchNorm(1, dtype=np.float64)
         x = np.array([[2.0], [4.0]])  # mean 3, var 1
         bn.forward(x, train=True)
         np.testing.assert_allclose(bn.running_mean, [0.3])

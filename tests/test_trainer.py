@@ -248,6 +248,14 @@ class TestFieldCache:
         FieldCache(str(tmp_path), 16, "distance").field_for(ds16, 0)
         assert len(os.listdir(tmp_path)) == 2
 
+    def test_key_separates_close_densities(self, workbench, tmp_path):
+        # 8.0 and 8.000001 agree to six significant digits
+        ds = ShapeDataset(workbench["train"], 16)
+        for density in (8.0, 8.000001):
+            FieldCache(str(tmp_path), 16, "distance",
+                       density).field_for(ds, 0)
+        assert len(os.listdir(tmp_path)) == 2
+
     @pytest.fixture
     def twin_manifests(self, tmp_path):
         """Two manifests in different directories that list the same
