@@ -18,11 +18,14 @@ import time
 import numpy as np
 
 from .field import Field3D, ROLE_DISTANCE, ROLE_GENERIC
-from .probing import InitConfig, ProbingLayer, init_filter_bank, mac_count
+from .probing import (InitConfig, ProbingLayer, default_sigma,
+                      init_filter_bank, mac_count)
 
 BENCH_HEADER = "resolution,kind,mean_ms,std_ms,macs,bytes"
 
 WARMUPS = 3
+REPS = 10
+CHANNEL_COUNT = 4  # the stock field: distance plus three normal components
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +96,6 @@ class BenchRow:
     std_ms: float
     macs: int
     bytes: int
-    reps: int
 
 
 @dataclasses.dataclass
@@ -127,36 +129,34 @@ def _machine_info():
         platform.platform(), platform.python_version(), np.__version__)
 
 
-def _time_callable(fn, reps):
-    """Mean/std wall milliseconds per call over >= `reps` measurements.
+def _time_callable(fn):
+    """Mean/std wall milliseconds per call over REPS measurements.
 
     Each measurement runs the callable enough times to fill 1 ms, which
     the monotonic clock resolves (auto-scaled inner loop), then divides
     back down to a single call. The callable must be warm.
     """
-    reps = max(10, int(reps))
     t0 = time.perf_counter()
     fn()
     probe = max(time.perf_counter() - t0, 1e-9)
     inner = max(1, int(np.ceil(1e-3 / probe)))
-    samples = np.empty(reps, dtype=np.float64)
-    for i in range(reps):
+    samples = np.empty(REPS, dtype=np.float64)
+    for i in range(REPS):
         t0 = time.perf_counter()
         for _ in range(inner):
             fn()
         samples[i] = (time.perf_counter() - t0) / inner
-    return float(samples.mean() * 1e3), float(samples.std() * 1e3), reps
+    return float(samples.mean() * 1e3), float(samples.std() * 1e3)
 
 
-def _probing_setup(init_cfg, resolution, channel_count, rng):
-    bank = init_filter_bank(init_cfg, resolution,
-                            channel_count=channel_count, dtype=np.float32)
-    sigma = 0.1 * (resolution - 4)
-    layer = ProbingLayer(bank, sigma)
-    roles = np.full(channel_count, ROLE_GENERIC, dtype=np.uint8)
+def _probing_setup(resolution, rng):
+    bank = init_filter_bank(InitConfig(), resolution,
+                            channel_count=CHANNEL_COUNT, dtype=np.float32)
+    layer = ProbingLayer(bank, default_sigma(resolution))
+    roles = np.full(CHANNEL_COUNT, ROLE_GENERIC, dtype=np.uint8)
     roles[0] = ROLE_DISTANCE
     values = rng.standard_normal(
-        (channel_count,) + (resolution,) * 3).astype(np.float32)
+        (CHANNEL_COUNT,) + (resolution,) * 3).astype(np.float32)
     field = Field3D(values, roles)
     field.gradients  # the precomputed stack is field preparation, not layer cost
 
@@ -180,33 +180,32 @@ def _conv_setup(conv_cfg, stride, resolution, rng):
     return once, conv_cfg.macs(), volume.nbytes + weights.nbytes
 
 
-def run_bench(resolutions, init_cfg=None, conv_cfg=None, stride=2,
-              channel_count=4, reps=10, seed=0):
+def run_bench(resolutions, stride=2):
     """Time probing forward+backward and conv forward at each resolution.
 
-    The convolution keeps `stride`, so its position count S grows with
-    resolution, reproducing the cubic blow-up. The probing bank is
-    re-initialized per resolution but its MAC count never changes. The
-    bytes column counts input plus parameter bytes one pass reads.
+    Probing runs the stock `InitConfig()` bank on CHANNEL_COUNT channels,
+    re-initialized per resolution, so its MAC count never changes. The
+    stock `ConvConfig()` kernel keeps `stride`, so its position count S
+    grows with resolution, reproducing the cubic blow-up. The bytes
+    column counts input plus parameter bytes one pass reads.
     """
     resolutions = [int(r) for r in resolutions]
     if not resolutions:
         raise ValueError("need at least one resolution")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    init_cfg = init_cfg or InitConfig()
-    conv_cfg = conv_cfg or ConvConfig()
+    conv_cfg = ConvConfig()
     setups = []
     for resolution in resolutions:
-        rng = np.random.default_rng((seed, resolution))
+        rng = np.random.default_rng((0, resolution))
         if resolution < conv_cfg.kernel + stride:
             raise ValueError("resolution %d too small for kernel %d at "
                              "stride %d" % (resolution, conv_cfg.kernel,
                                             stride))
         positions = (resolution - conv_cfg.kernel) // stride + 1
         cfg_r = dataclasses.replace(conv_cfg, positions=positions)
-        setups.append((resolution, "probing") + _probing_setup(
-            init_cfg, resolution, channel_count, rng))
+        setups.append((resolution, "probing")
+                      + _probing_setup(resolution, rng))
         setups.append((resolution, "conv")
                       + _conv_setup(cfg_r, stride, resolution, rng))
     # Warm every resolution before any row is timed: the first row timed
@@ -216,8 +215,8 @@ def run_bench(resolutions, init_cfg=None, conv_cfg=None, stride=2,
             fn()
     rows = []
     for resolution, kind, fn, macs, touched in setups:
-        mean_ms, std_ms, done = _time_callable(fn, reps)
+        mean_ms, std_ms = _time_callable(fn)
         rows.append(BenchRow(resolution=resolution, kind=kind,
                              mean_ms=mean_ms, std_ms=std_ms, macs=macs,
-                             bytes=touched, reps=done))
+                             bytes=touched))
     return BenchReport(rows=rows, machine=_machine_info())

@@ -4,9 +4,9 @@ One executable, `fieldprobe`, with a subcommand per workflow step:
 shape-to-field conversion, synthetic dataset generation, training (also
 from a donor checkpoint's probing bank, which with `freeze_probing=true`
 in the config is a head-only fine-tune), evaluation, feature export,
-gradient auditing, and the probing-vs-convolution benchmark. Every
-command is a thin shell over the library; anything scriptable here is
-equally scriptable in Python.
+gradient auditing, and the benchmark that times the stock probing bank
+against the stock convolution. Every command is a thin shell over the
+library; anything scriptable here is equally scriptable in Python.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ import sys
 
 import numpy as np
 
-from .bench import ConvConfig, run_bench
+from .bench import run_bench
 from .errors import FormatError, ParseError, TrainingDiverged
 from .field import save_field
 from .ingest import DEFAULT_SAMPLES_PER_AREA, load_shape, normalize, voxelize
-from .probing import InitConfig
 from .synthetic import SyntheticSpec, generate_synthetic
 from .trainer import (
     CHANNEL_SETS,
@@ -87,7 +86,7 @@ def _cmd_extract_features(args):
 
 
 def _cmd_gradcheck(args):
-    report = gradient_check_report(layer=args.layer, seed=args.seed)
+    report = gradient_check_report(layer=args.layer)
     worst = 0.0
     for name in sorted(report):
         error = report[name]
@@ -103,13 +102,7 @@ def _cmd_gradcheck(args):
 
 def _cmd_bench(args):
     resolutions = [int(part) for part in args.resolutions.split(",") if part]
-    init_cfg = InitConfig(grid_divisions=args.grid_divisions,
-                          filters_per_cell=args.filters_per_cell,
-                          points_per_filter=args.points_per_filter)
-    conv_cfg = ConvConfig(kernel=args.kernel, channels_out=args.conv_channels)
-    report = run_bench(resolutions, init_cfg=init_cfg, conv_cfg=conv_cfg,
-                       stride=args.stride, channel_count=args.channel_count,
-                       reps=args.reps)
+    report = run_bench(resolutions, stride=args.stride)
     for row in report.rows:
         print("%4d %-10s %10.3f ms (+/- %.3f)  %12d MACs" %
               (row.resolution, row.kind, row.mean_ms, row.std_ms, row.macs))
@@ -176,7 +169,6 @@ def build_parser():
     p.add_argument("--layer", default=None,
                    help="audit one recipe (fc, bn, dropout, composed, "
                         "probing); default audits all")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("bench",
@@ -187,13 +179,6 @@ def build_parser():
     p.add_argument("--stride", type=int, default=2,
                    help="convolution stride, kept at every resolution, so "
                         "the sliding positions grow with resolution")
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--grid-divisions", type=int, default=4)
-    p.add_argument("--filters-per-cell", type=int, default=16)
-    p.add_argument("--points-per-filter", type=int, default=8)
-    p.add_argument("--channel-count", type=int, default=4)
-    p.add_argument("--kernel", type=int, default=6)
-    p.add_argument("--conv-channels", type=int, default=48)
     p.set_defaults(func=_cmd_bench)
 
     return parser

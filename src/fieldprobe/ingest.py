@@ -34,7 +34,6 @@ class GridFrame:
     """The cubic grid a normalized shape lives in."""
 
     resolution: int
-    margin: float
 
     @property
     def center(self):
@@ -43,7 +42,7 @@ class GridFrame:
     @property
     def object_size(self):
         """Longest-axis extent of a normalized shape, in voxels."""
-        return self.resolution - 2.0 * self.margin
+        return self.resolution - 2.0 * DEFAULT_MARGIN
 
 
 @dataclass
@@ -240,7 +239,7 @@ def normalize(shape: ShapeSample, resolution: int) -> ShapeSample:
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
 
-    frame = GridFrame(resolution, DEFAULT_MARGIN)
+    frame = GridFrame(resolution)
     lo = shape.vertices.min(axis=0)
     hi = shape.vertices.max(axis=0)
     extent = float((hi - lo).max())

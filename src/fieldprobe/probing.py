@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ROLE_DISTANCE, gather_corners, interpolate, trilinear_corners
+from .ingest import GridFrame
 from .nn import Tensor
 
 INIT_REDRAW_LIMIT = 100
@@ -262,6 +263,11 @@ def mac_count(bank: FilterBank) -> int:
     """Multiply-accumulates per sample for the dot-product reduction; the
     probing cost depends only on C*N*T, never on the field resolution."""
     return bank.filter_count * bank.points_per_filter * bank.channel_count
+
+
+def default_sigma(resolution):
+    """The Gaussian's stock width: a tenth of a normalized shape's extent."""
+    return 0.1 * GridFrame(resolution).object_size
 
 
 class ProbingLayer:

@@ -9,7 +9,6 @@ import pytest
 from fieldprobe import bench
 from fieldprobe.bench import (BENCH_HEADER, BenchReport, BenchRow, ConvConfig,
                               conv3d_reference, run_bench)
-from fieldprobe.probing import InitConfig
 
 
 def brute_conv(volume, weights, stride):
@@ -158,22 +157,9 @@ class TestConvReference:
                              1)
 
 
-def tiny_bench(**overrides):
-    kwargs = dict(
-        resolutions=[8, 12],
-        init_cfg=InitConfig(grid_divisions=1, filters_per_cell=2,
-                            points_per_filter=3, seed=3),
-        conv_cfg=ConvConfig(kernel=2, channels_out=2, positions=3),
-        channel_count=1,
-        reps=10,
-    )
-    kwargs.update(overrides)
-    return run_bench(**kwargs)
-
-
 @pytest.fixture(scope="module")
 def report():
-    return tiny_bench()
+    return run_bench([8, 12])
 
 
 class TestRunBench:
@@ -187,16 +173,15 @@ class TestRunBench:
         for row in report.rows:
             assert row.mean_ms > 0.0
             assert row.std_ms >= 0.0
-            assert row.reps >= 10
 
     def test_probing_macs_constant(self, report):
         macs = {row.macs for row in report.rows if row.kind == "probing"}
-        assert macs == {2 * 3 * 1}
+        assert macs == {64 * 16 * 8 * 4}
 
     def test_conv_macs_grow_with_fixed_stride(self, report):
-        # S = (R - 2) // 2 + 1: R=8 -> 4, R=12 -> 6
-        assert report.row(8, "conv").macs == 8 * 2 * 4 ** 3
-        assert report.row(12, "conv").macs == 8 * 2 * 6 ** 3
+        # S = (R - 6) // 2 + 1: R=8 -> 2, R=12 -> 4
+        assert report.row(8, "conv").macs == 216 * 48 * 2 ** 3 == 82_944
+        assert report.row(12, "conv").macs == 216 * 48 * 4 ** 3 == 663_552
 
     def test_bytes_positive_and_resolution_bound(self, report):
         assert report.row(12, "probing").bytes > report.row(8, "probing").bytes
@@ -208,7 +193,7 @@ class TestRunBench:
             report.row(9, "probing")
 
     def test_convolution_keeps_the_requested_stride(self, monkeypatch):
-        # (10 - 2) // 3 + 1 = 3 positions, which would also fit at stride 4
+        # (10 - 6) // 3 + 1 = 2 positions, which would also fit at stride 4
         strides = set()
         reference = bench.conv3d_reference
 
@@ -217,17 +202,17 @@ class TestRunBench:
             return reference(volume, cfg, weights, stride)
 
         monkeypatch.setattr(bench, "conv3d_reference", spy)
-        report = tiny_bench(resolutions=[10], stride=3)
+        report = run_bench([10], stride=3)
         assert strides == {3}
-        assert report.row(10, "conv").macs == 8 * 2 * 3 ** 3
+        assert report.row(10, "conv").macs == 216 * 48 * 2 ** 3
 
     def test_fixed_stride_rejects_small_resolution(self):
         with pytest.raises(ValueError, match="too small"):
-            tiny_bench(resolutions=[3])
+            run_bench([3])
 
     def test_needs_resolutions(self):
         with pytest.raises(ValueError, match="resolution"):
-            tiny_bench(resolutions=[])
+            run_bench([])
 
     def test_every_resolution_runs_before_timing(self, monkeypatch):
         # the first row timed on a cold heap reads slow, so no sample may
@@ -246,10 +231,10 @@ class TestRunBench:
 
         monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=clock))
         monkeypatch.setattr(bench, "_probing_setup",
-                            lambda init, r, t, rng: (kernel("probing", r), 1, 1))
+                            lambda r, rng: (kernel("probing", r), 1, 1))
         monkeypatch.setattr(bench, "_conv_setup",
                             lambda cfg, stride, r, rng: (kernel("conv", r), 1, 1))
-        report = tiny_bench(resolutions=[8, 12, 16])
+        report = run_bench([8, 12, 16])
         assert {row.resolution for row in report.rows} == {8, 12, 16}
         first = events.index("clock")
         assert set(events[:first]) == {(kind, r) for kind in ("probing", "conv")
@@ -273,8 +258,8 @@ class TestRunBench:
 
     def test_report_determinism_of_structure(self):
         # Timing numbers vary run to run; structure and cost columns do not.
-        a = tiny_bench()
-        b = tiny_bench()
+        a = run_bench([8, 12])
+        b = run_bench([8, 12])
         for ra, rb in zip(a.rows, b.rows):
             assert (ra.resolution, ra.kind, ra.macs, ra.bytes) == \
                 (rb.resolution, rb.kind, rb.macs, rb.bytes)

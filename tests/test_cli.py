@@ -1,5 +1,6 @@
 """End-to-end smoke tests for the command-line interface."""
 
+import argparse
 import os
 import re
 import signal
@@ -416,25 +417,13 @@ class TestBench:
 
     def test_writes_csv(self, tmp_path, capsys):
         out = str(tmp_path / "bench.csv")
-        code = main(["bench", "--resolutions", "8,12",
-                     "--grid-divisions", "1", "--filters-per-cell", "2",
-                     "--points-per-filter", "3", "--channel-count", "1",
-                     "--kernel", "2", "--conv-channels", "2",
-                     "--out", out])
+        code = main(["bench", "--resolutions", "8,12", "--out", out])
         assert code == 0
         with open(out, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         assert lines[1] == "resolution,kind,mean_ms,std_ms,macs,bytes"
         assert len(lines) == 2 + 4
         assert "wrote" in capsys.readouterr().out
-
-    def test_bad_mode_is_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--mode", "adaptive"])
-
-    def test_workers_is_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--workers", "2"])
 
 
 def readme_commands():
@@ -461,6 +450,40 @@ def test_readme_command_parses(argv):
     except SystemExit:
         pytest.fail("README names an unknown command or flag: fieldprobe "
                     + " ".join(argv))
+
+
+def test_readme_names_every_flag():
+    named = {}
+    for argv in readme_commands():
+        named.setdefault(argv[0], set()).update(
+            token for token in argv if token.startswith("--"))
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    missing = ["%s %s" % (name, flag)
+               for name, parser in commands.choices.items()
+               for action in parser._actions
+               for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"
+               and flag not in named.get(name, ())]
+    assert not missing, ("README's Command line block does not name: "
+                         + ", ".join(missing))
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--mode", "adaptive"],
+    ["bench", "--workers", "2"],
+    ["bench", "--reps", "10"],
+    ["bench", "--grid-divisions", "4"],
+    ["bench", "--filters-per-cell", "16"],
+    ["bench", "--points-per-filter", "8"],
+    ["bench", "--channel-count", "4"],
+    ["bench", "--kernel", "6"],
+    ["bench", "--conv-channels", "48"],
+    ["gradcheck", "--seed", "0"],
+], ids=lambda argv: argv[1])
+def test_removed_flag_is_usage_error(argv):
+    with pytest.raises(SystemExit):
+        main(argv)
 
 
 def test_unknown_command_is_usage_error():

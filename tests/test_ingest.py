@@ -338,7 +338,7 @@ class TestNormalize:
         lo, hi = out.vertices.min(axis=0), out.vertices.max(axis=0)
         assert (hi - lo).max() == pytest.approx(32 - 2 * 2, abs=1e-9)
         np.testing.assert_allclose((lo + hi) / 2, 16.0, atol=1e-9)
-        assert out.frame == GridFrame(32, 2)
+        assert out.frame == GridFrame(32)
 
     def test_uniform_scale_preserves_aspect(self):
         v = np.array([[0, 0, 0], [4, 1, 2]], dtype=np.float64)
@@ -466,7 +466,7 @@ class TestApplyPerturbation:
 
 class TestVoxelize:
     def test_point_cloud_binning(self):
-        frame = GridFrame(16, 2)
+        frame = GridFrame(16)
         pts = np.array([[3.2, 4.9, 7.0], [3.4, 4.6, 7.2], [10.5, 2.0, 2.0]])
         shape = ShapeSample(pts, np.empty((0, 3)), frame=frame)
         occ = voxelize(shape, 16)
@@ -476,21 +476,21 @@ class TestVoxelize:
         assert got == expected
 
     def test_requires_matching_frame(self):
-        shape = ShapeSample([[1, 1, 1]], np.empty((0, 3)), frame=GridFrame(16, 2))
+        shape = ShapeSample([[1, 1, 1]], np.empty((0, 3)), frame=GridFrame(16))
         with pytest.raises(ValueError, match="resolution"):
             voxelize(shape, 32)
         with pytest.raises(ValueError, match="resolution"):
             voxelize(unit_quad(), 16)
 
     def test_out_of_grid_samples_dropped(self):
-        frame = GridFrame(16, 2)
+        frame = GridFrame(16)
         pts = np.array([[8.0, 8.0, 8.0], [-3.0, 8.0, 8.0], [8.0, 99.0, 8.0]])
         shape = ShapeSample(pts, np.empty((0, 3)), frame=frame)
         occ = voxelize(shape, 16)
         assert occ.occupied_count == 1
 
     def test_all_outside_is_error(self):
-        shape = ShapeSample([[99.0, 99.0, 99.0]], np.empty((0, 3)), frame=GridFrame(16, 2))
+        shape = ShapeSample([[99.0, 99.0, 99.0]], np.empty((0, 3)), frame=GridFrame(16))
         with pytest.raises(ValueError, match="empty"):
             voxelize(shape, 16)
 
@@ -502,7 +502,7 @@ class TestVoxelize:
             [[4.25, 6.25, 8.0], [11.75, 6.25, 8.0], [11.75, 9.75, 8.0], [4.25, 9.75, 8.0]]
         )
         f = np.array([[0, 1, 2], [0, 2, 3]])
-        shape = ShapeSample(v, f, frame=GridFrame(r, 2))
+        shape = ShapeSample(v, f, frame=GridFrame(r))
         occ = voxelize(shape, r, samples_per_area=200.0, seed=5)
         expected = np.zeros((r, r, r), dtype=bool)
         for ix in range(r):
@@ -521,7 +521,7 @@ class TestVoxelize:
         v = rng.uniform(-4.0, r + 4.0, size=(30, 3))
         f = rng.integers(0, 30, size=(40, 3))
         for faces in (f, np.empty((0, 3))):
-            shape = ShapeSample(v, faces, frame=GridFrame(r, 2))
+            shape = ShapeSample(v, faces, frame=GridFrame(r))
             pts = _sample_surface(shape, 4.0, np.random.default_rng(3)) if len(faces) else v
             idx = np.floor(pts + 0.5).astype(np.int64)
             idx = idx[np.all((idx >= 0) & (idx < r), axis=1)]
@@ -535,7 +535,7 @@ class TestVoxelize:
         # u + v > 1 folds back into the triangle: u, v -> 1 - u, 1 - v,
         # against the boolean-mask assignment it replaced
         v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        shape = ShapeSample(v, [[0, 1, 2]], frame=GridFrame(16, 2))
+        shape = ShapeSample(v, [[0, 1, 2]], frame=GridFrame(16))
         got = _sample_surface(shape, 4000.0, np.random.default_rng(11))
         draw = np.random.default_rng(11)
         u = draw.random(len(got))
@@ -575,9 +575,9 @@ class TestVoxelize:
         q = 2.0**-20
         v = np.round(rng.uniform(4, 28, size=(6, 3)) / q) * q
         f = np.array([[0, 1, 2], [1, 3, 2], [2, 4, 5]])
-        base = ShapeSample(v, f, frame=GridFrame(r, 2))
+        base = ShapeSample(v, f, frame=GridFrame(r))
         turned = ShapeSample(
-            np.column_stack([r - v[:, 1], v[:, 0], v[:, 2]]), f, frame=GridFrame(r, 2)
+            np.column_stack([r - v[:, 1], v[:, 0], v[:, 2]]), f, frame=GridFrame(r)
         )
         occ = voxelize(base, r, samples_per_area=40.0, seed=21)
         occ_turned = voxelize(turned, r, samples_per_area=40.0, seed=21)
@@ -591,7 +591,7 @@ class TestVoxelize:
         rng = np.random.default_rng(29)
         v = rng.uniform(3.0, 29.0, size=(40, 3))
         f = rng.integers(0, 40, size=(60, 3))
-        shape = ShapeSample(v, f, frame=GridFrame(32, 2))
+        shape = ShapeSample(v, f, frame=GridFrame(32))
         got = _sample_surface(shape, 3.0, np.random.default_rng(17))
 
         tri = v[f]
