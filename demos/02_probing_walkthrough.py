@@ -53,9 +53,9 @@ start = bank.locations.copy()
 print("\n iter    loss     mean |dL/dx|   mean move (voxels)")
 for step in range(8):
     loss = layer.forward([field], train=True).sum()
-    bank.zero_gradients()
+    layer.locations.zero_grad()
     layer.backward(np.ones((1, bank.filter_count)))
-    grad = bank.location_gradients
+    grad = layer.locations.grad
     moved = np.linalg.norm(bank.locations - start, axis=-1).mean()
     print("  %2d   %8.4f     %.6f       %.3f"
           % (step, loss, np.abs(grad).mean(), moved))

@@ -47,7 +47,6 @@ from .nn import (
     Network,
     ReLU,
     Sgd,
-    SgdConfig,
     grad_check,
     softmax_cross_entropy,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "ProbingLayer",
     "ReLU",
     "Sgd",
-    "SgdConfig",
     "ShapeSample",
     "SyntheticSpec",
     "TrainConfig",

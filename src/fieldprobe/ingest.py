@@ -22,7 +22,7 @@ from .errors import ParseError
 DEFAULT_MARGIN = 2
 DEFAULT_SAMPLES_PER_AREA = 8.0
 
-PERTURBATION_MODES = ("R", "R15", "R45", "T01", "T02", "S", "composite")
+PERTURBATION_MODES = ("R", "R15", "R45", "T01", "T02", "S")
 
 _TILT_LIMIT = {"R15": math.radians(15.0), "R45": math.radians(45.0)}
 _TRANSLATION_LIMIT = {"T01": 0.1, "T02": 0.2}
@@ -265,51 +265,15 @@ class Perturbation:
     """A similarity transform applied about the grid center before
     voxelization: per-axis scale, then tilts about x and y, then the up-axis
     rotation, then translation. Translation is expressed as a fraction of the
-    normalized object size per axis.
+    normalized object size per axis. It holds the transform only: the mode
+    tuple it was drawn for is the label, and `sample_perturbation` keeps
+    each draw within that mode's bounds.
     """
 
-    mode: str = "composite"
     rotation: float = 0.0
     tilt: tuple[float, float] = (0.0, 0.0)
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
     scale: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        if self.mode not in PERTURBATION_MODES:
-            raise ValueError(f"unknown perturbation mode {self.mode!r}")
-        tilt_cap = _TILT_LIMIT.get(self.mode, math.radians(45.0))
-        trans_cap = _TRANSLATION_LIMIT.get(self.mode, 0.2)
-        if self.mode in ("R", "T01", "T02", "S"):
-            tilt_cap = 0.0
-        if self.mode in ("R", "R15", "R45"):
-            trans_cap = 0.0
-        if self.mode in ("T01", "T02", "S") and self.rotation != 0.0:
-            raise ValueError(f"mode {self.mode} does not rotate")
-        for t in self.tilt:
-            if abs(t) > tilt_cap:
-                raise ValueError(f"tilt {t} outside +-{tilt_cap} for mode {self.mode}")
-        for t in self.translation:
-            cap = trans_cap if self.mode != "S" else 0.0
-            if abs(t) > cap:
-                raise ValueError(f"translation {t} outside +-{cap} for mode {self.mode}")
-        for s in self.scale:
-            if self.mode in ("S", "composite"):
-                if not _SCALE_RANGE[0] <= s <= _SCALE_RANGE[1]:
-                    raise ValueError(f"scale {s} outside {_SCALE_RANGE}")
-            elif s != 1.0:
-                raise ValueError(f"mode {self.mode} does not scale")
-
-    @staticmethod
-    def identity() -> "Perturbation":
-        return Perturbation()
-
-    def is_identity(self):
-        return (
-            self.rotation == 0.0
-            and self.tilt == (0.0, 0.0)
-            and self.translation == (0.0, 0.0, 0.0)
-            and self.scale == (1.0, 1.0, 1.0)
-        )
 
 
 def parse_perturbation_modes(spec: str) -> tuple[str, ...]:
@@ -318,7 +282,7 @@ def parse_perturbation_modes(spec: str) -> tuple[str, ...]:
         return ()
     modes = tuple(part.strip() for part in spec.split("+") if part.strip())
     for m in modes:
-        if m not in PERTURBATION_MODES or m == "composite":
+        if m not in PERTURBATION_MODES:
             raise ValueError(f"unknown perturbation mode {m!r} in {spec!r}")
     return modes
 
@@ -341,8 +305,7 @@ def sample_perturbation(modes: tuple[str, ...], rng: np.random.Generator) -> Per
             translation = tuple(rng.uniform(-lim, lim, size=3))
         elif m == "S":
             scale = tuple(rng.uniform(*_SCALE_RANGE, size=3))
-    mode = modes[0] if len(modes) == 1 else "composite"
-    return Perturbation(mode, rotation, tilt, translation, scale)
+    return Perturbation(rotation, tilt, translation, scale)
 
 
 def _rotation_matrix(rotation, tilt):
@@ -361,8 +324,6 @@ def apply_perturbation(shape: ShapeSample, p: Perturbation) -> ShapeSample:
     clamping geometry."""
     if shape.frame is None:
         raise ValueError("shape must be normalized before perturbation")
-    if p.is_identity():
-        return shape.copy()
     frame = shape.frame
     rot = _rotation_matrix(p.rotation, p.tilt)
     v = (shape.vertices - frame.center) * np.asarray(p.scale)

@@ -6,12 +6,10 @@ Parameters are stored in 32-bit floats (what the checkpoint format holds, so
 save/load is lossless); activations flow in float64. Gradient buffers
 accumulate across a batch; the cross-entropy gradient already carries the
 1/batch factor, so accumulated sums arrive at the optimizer as batch means
-and sgd_step applies them as-is.
+and Sgd.step applies them as-is.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +20,10 @@ BN_EPSILON = 1e-5
 
 
 class Tensor:
-    """A parameter block: values plus a same-shape gradient buffer.
+    """A parameter block: values plus the same-shape gradient buffer it owns.
 
-    Wraps the given arrays by reference (no copy), so external owners like a
-    probing filter bank can share storage with the optimizer. `decay` marks
+    Wraps the given values by reference (no copy), so external owners like a
+    probing filter bank share them with the optimizer. `decay` marks
     whether weight decay applies; biases, batch-norm scales, and probing
     locations are exempt. `rate` multiplies the optimizer's learning rate
     for this block alone: probing locations live in voxel units (0 to R-1)
@@ -34,13 +32,11 @@ class Tensor:
     the true gradient.
     """
 
-    def __init__(self, values, grad=None, name="", decay=True, rate=1.0):
+    def __init__(self, values, name="", decay=True, rate=1.0):
         self.values = np.asarray(values)
         if self.values.ndim > 3:
             raise ValueError(f"rank {self.values.ndim} tensor; at most 3 supported")
-        self.grad = np.zeros_like(self.values) if grad is None else np.asarray(grad)
-        if self.grad.shape != self.values.shape:
-            raise ValueError(f"grad shape {self.grad.shape} != values {self.values.shape}")
+        self.grad = np.zeros_like(self.values)
         self.name = name
         self.decay = decay
         self.rate = float(rate)
@@ -207,43 +203,31 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad / b
 
 
-@dataclass(frozen=True)
-class SgdConfig:
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-
-
 class Sgd:
     """Momentum SGD: g' = g + decay*w (decay-exempt blocks skip the second
-    term); v = momentum*v - lr*rate*g'; w += v, where lr is the config's
-    learning rate and rate the block's own multiplier (1 for all but the
-    voxel-unit probing locations). Velocities live in the same dtype as
-    their parameters so checkpoints capture them losslessly."""
+    term); v = momentum*v - lr*rate*g'; w += v, where lr is the learning
+    rate and rate the block's own multiplier (1 for all but the voxel-unit
+    probing locations). The caller checks the three settings' ranges
+    (`TrainConfig` does). Velocities live in the same dtype as their
+    parameters so checkpoints capture them losslessly."""
 
-    def __init__(self, params, cfg: SgdConfig):
+    def __init__(self, params, learning_rate, momentum, weight_decay):
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names: {sorted(names)}")
         self.params = list(params)
-        self.cfg = cfg
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.weight_decay = weight_decay
         self.velocities = [np.zeros_like(p.values) for p in self.params]
 
     def step(self):
         for p, v in zip(self.params, self.velocities):
             g = p.grad
-            if p.decay and self.cfg.weight_decay:
-                g = g + self.cfg.weight_decay * p.values
-            v *= self.cfg.momentum
-            v -= (self.cfg.learning_rate * p.rate * g).astype(v.dtype, copy=False)
+            if p.decay and self.weight_decay:
+                g = g + self.weight_decay * p.values
+            v *= self.momentum
+            v -= (self.learning_rate * p.rate * g).astype(v.dtype, copy=False)
             p.values += v
 
     def zero_grads(self):

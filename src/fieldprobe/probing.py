@@ -9,9 +9,8 @@ the isolated gradient checks test the code that training runs.
 Both the point locations and the dot-product weights are trainable. Location
 gradients flow through the sampled field's spatial gradients ("the gradients
 computed from the input fields are the forces that push the probing points").
-All backward passes accumulate into the bank's buffers; run them serially or
-reduce per-worker buffers in a fixed order if parallelized, so training stays
-bit-reproducible.
+The backward stages return their gradients; `ProbingLayer.backward` adds
+them into the gradients of its `locations` and `weights` tensors.
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ class FilterBank:
     """C filters of N points each over a T-channel field at resolution R.
 
     locations is (C, N, 3) in voxel units (x, y, z); weights is (C, N, T),
-    one weight per point and channel with no sharing across filters. The
-    matching *_gradients buffers accumulate until explicitly zeroed.
+    one weight per point and channel with no sharing across filters.
     """
 
     def __init__(self, locations, weights, resolution):
@@ -90,8 +88,6 @@ class FilterBank:
         self.locations = locations
         self.weights = weights
         self.resolution = int(resolution)
-        self.location_gradients = np.zeros_like(locations)
-        self.weight_gradients = np.zeros_like(weights)
 
     @property
     def filter_count(self):
@@ -104,10 +100,6 @@ class FilterBank:
     @property
     def channel_count(self):
         return self.weights.shape[2]
-
-    def zero_gradients(self):
-        self.location_gradients[:] = 0.0
-        self.weight_gradients[:] = 0.0
 
     def clamp_locations(self):
         """Project points back into the field hull, applied after updates."""
@@ -202,8 +194,8 @@ def sensor_forward(bank: FilterBank, fields, with_gradients=True) -> SensorOutpu
     return SensorOutput(values, gradients)
 
 
-def sensor_backward(bank: FilterBank, cache: SensorOutput, upstream) -> None:
-    """Accumulate location gradients: the chain rule routes each channel's
+def sensor_backward(cache: SensorOutput, upstream) -> np.ndarray:
+    """Location gradients (C, N, 3): the chain rule routes each channel's
     upstream gradient through the field gradient sampled at that point,
     summed over the batch."""
     if cache is None:
@@ -213,7 +205,7 @@ def sensor_backward(bank: FilterBank, cache: SensorOutput, upstream) -> None:
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache.values.shape:
         raise ValueError(f"upstream {upstream.shape} does not match {cache.values.shape}")
-    bank.location_gradients += np.einsum("bcnt,bcntk->cnk", upstream, cache.gradients)
+    return np.einsum("bcnt,bcntk->cnk", upstream, cache.gradients)
 
 
 def gaussian_forward(values, sigma):
@@ -247,16 +239,16 @@ def dotproduct_forward(bank: FilterBank, values) -> np.ndarray:
     return np.einsum("bcnt,cnt->bc", values, bank.weights)
 
 
-def dotproduct_backward(bank: FilterBank, values, upstream) -> np.ndarray:
-    """Returns input gradients (upstream_bc * w) and accumulates weight
-    gradients (upstream_bc * values, summed over the batch)."""
+def dotproduct_backward(bank: FilterBank, values, upstream):
+    """(input gradients, weight gradients): upstream_bc * w, and
+    upstream_bc * values summed over the batch."""
     values = np.asarray(values, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     _check_batch_values(bank, values)
     if upstream.shape != values.shape[:2]:
         raise ValueError(f"upstream {upstream.shape} does not match the batch {values.shape[:2]}")
-    bank.weight_gradients += np.einsum("bc,bcnt->cnt", upstream, values)
-    return upstream[:, :, None, None] * bank.weights
+    return (upstream[:, :, None, None] * bank.weights,
+            np.einsum("bc,bcnt->cnt", upstream, values))
 
 
 def mac_count(bank: FilterBank) -> int:
@@ -274,8 +266,9 @@ class ProbingLayer:
     """A list of B fields in, a (B, C) activation matrix out: Sensor, then
     Gaussian on distance-role channels only (normal components are already
     in [-1, 1]), then DotProduct. Owns the filter bank and exposes its
-    arrays as optimizer tensors sharing the same storage. A frozen layer
-    has no parameters and reads no field gradients.
+    arrays as optimizer tensors sharing their values; the tensors own the
+    gradients. A frozen layer has no parameters and reads no field
+    gradients.
     """
 
     name = "probing"
@@ -286,11 +279,9 @@ class ProbingLayer:
         self.bank = bank
         self.sigma = float(sigma)
         self.frozen = bool(frozen)
-        self.locations = Tensor(bank.locations, grad=bank.location_gradients,
-                                name=self.name + ".locations", decay=False,
-                                rate=LOCATION_RATE)
-        self.weights = Tensor(bank.weights, grad=bank.weight_gradients,
-                              name=self.name + ".weights", decay=True)
+        self.locations = Tensor(bank.locations, name=self.name + ".locations",
+                                decay=False, rate=LOCATION_RATE)
+        self.weights = Tensor(bank.weights, name=self.name + ".weights")
         self._cache = None
 
     def params(self):
@@ -319,8 +310,9 @@ class ProbingLayer:
         if self._cache is None:
             raise RuntimeError("probing backward without a training forward")
         (sensor, mask, squashed), self._cache = self._cache, None
-        grads = dotproduct_backward(self.bank, squashed, upstream)
+        grads, weight_grads = dotproduct_backward(self.bank, squashed, upstream)
+        self.weights.grad += weight_grads
         grads[..., mask] = gaussian_backward(sensor.values[..., mask],
                                              grads[..., mask], self.sigma)
-        sensor_backward(self.bank, sensor, grads)
+        self.locations.grad += sensor_backward(sensor, grads)
         return None

@@ -56,7 +56,6 @@ from .nn import (
     Network,
     ReLU,
     Sgd,
-    SgdConfig,
     grad_check,
     softmax_cross_entropy,
 )
@@ -106,7 +105,7 @@ class TrainConfig:
     seed: int = 0
     dropout: float = 0.5
     augmentation: str = ""
-    samples_per_area: float = 8.0
+    samples_per_area: float = DEFAULT_SAMPLES_PER_AREA
     classes: int = 0
     freeze_probing: bool = False
     train_manifest: str = ""
@@ -138,9 +137,14 @@ class TrainConfig:
             raise ValueError("checkpoint_every/eval_every must be >= 0")
         if self.pipeline_workers < 1:
             raise ValueError("pipeline_workers must be >= 1")
-        # these two validate their own slices of the config eagerly
+        # InitConfig validates its own slice of the config
         self.init_config
-        self.sgd_config
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_iterations < 0:
@@ -167,14 +171,6 @@ class TrainConfig:
             length_low=self.length_low,
             length_high=self.length_high,
             seed=self.init_seed,
-        )
-
-    @property
-    def sgd_config(self):
-        return SgdConfig(
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
         )
 
     def to_text(self):
@@ -696,7 +692,7 @@ def train(cfg: TrainConfig, resume=None, donor=None) -> TrainResult:
                        cfg.samples_per_area)
 
     net, bank, probing = build_model(cfg)
-    opt = Sgd(net.params(), cfg.sgd_config)
+    opt = Sgd(net.params(), cfg.learning_rate, cfg.momentum, cfg.weight_decay)
     config_text = _drop_keys(cfg.to_text(), _PATH_KEYS)
 
     if donor is not None:

@@ -89,10 +89,8 @@ def _sensor_error(seed):
         values = sensor_forward(bank, fields, with_gradients=False).values
         return float((values * proj).sum())
 
-    bank.zero_gradients()
     out = sensor_forward(bank, fields, with_gradients=True)
-    sensor_backward(bank, out, proj)
-    return block_error(bank.location_gradients,
+    return block_error(sensor_backward(out, proj),
                        numeric_gradient(loss, bank.locations, FD_STEP))
 
 
@@ -121,9 +119,8 @@ def _dotproduct_error(seed):
     def loss():
         return float((dotproduct_forward(bank, values) * proj).sum())
 
-    bank.zero_gradients()
-    value_grads = dotproduct_backward(bank, values, proj)
-    err_weights = block_error(bank.weight_gradients,
+    value_grads, weight_grads = dotproduct_backward(bank, values, proj)
+    err_weights = block_error(weight_grads,
                               numeric_gradient(loss, bank.weights, FD_STEP))
     err_values = block_error(value_grads,
                              numeric_gradient(loss, values, FD_STEP))

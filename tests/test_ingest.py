@@ -364,25 +364,6 @@ class TestNormalize:
 
 
 class TestPerturbation:
-    def test_identity_default(self):
-        assert Perturbation.identity().is_identity()
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="unknown"):
-            Perturbation(mode="R30")
-        with pytest.raises(ValueError, match="tilt"):
-            Perturbation(mode="R15", tilt=(math.radians(20), 0.0))
-        with pytest.raises(ValueError, match="tilt"):
-            Perturbation(mode="R", tilt=(0.1, 0.0))
-        with pytest.raises(ValueError, match="translation"):
-            Perturbation(mode="T01", translation=(0.15, 0, 0))
-        with pytest.raises(ValueError, match="does not rotate"):
-            Perturbation(mode="S", rotation=1.0)
-        with pytest.raises(ValueError, match="scale"):
-            Perturbation(mode="S", scale=(0.5, 1.0, 1.0))
-        with pytest.raises(ValueError, match="does not scale"):
-            Perturbation(mode="R", scale=(1.05, 1.0, 1.0))
-
     def test_parse_modes(self):
         assert parse_perturbation_modes("R15+T01+S") == ("R15", "T01", "S")
         assert parse_perturbation_modes("R") == ("R",)
@@ -396,7 +377,6 @@ class TestPerturbation:
         rng = np.random.default_rng(0)
         for _ in range(200):
             p = sample_perturbation(("R45", "T02", "S"), rng)
-            assert p.mode == "composite"
             assert 0.0 <= p.rotation < 2 * math.pi
             assert all(abs(t) <= math.radians(45) for t in p.tilt)
             assert all(abs(t) <= 0.2 for t in p.translation)
@@ -405,7 +385,6 @@ class TestPerturbation:
     def test_sampler_single_mode(self):
         rng = np.random.default_rng(1)
         p = sample_perturbation(("T01",), rng)
-        assert p.mode == "T01"
         assert p.rotation == 0.0 and p.scale == (1.0, 1.0, 1.0)
         assert any(t != 0.0 for t in p.translation)
 
@@ -425,40 +404,34 @@ class TestApplyPerturbation:
 
     def test_requires_normalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            apply_perturbation(unit_quad(), Perturbation.identity())
-
-    def test_identity_is_bitwise_noop(self):
-        shape = self.normalized_point([3.7, -1.2, 0.5])
-        out = apply_perturbation(shape, Perturbation.identity())
-        assert np.array_equal(out.vertices, shape.vertices)
-        assert out.vertices is not shape.vertices
+            apply_perturbation(unit_quad(), Perturbation())
 
     def test_quarter_turn_about_up_axis(self):
         shape = self.normalized_point([5.0, 0.0, 2.0])
-        out = apply_perturbation(shape, Perturbation("R", rotation=math.pi / 2))
+        out = apply_perturbation(shape, Perturbation(rotation=math.pi / 2))
         np.testing.assert_allclose(out.vertices[0] - 16.0, [0.0, 5.0, 2.0], atol=1e-12)
 
     def test_tilt_about_x_moves_y_into_z(self):
         shape = self.normalized_point([0.0, 4.0, 0.0])
-        p = Perturbation("R15", rotation=0.0, tilt=(math.radians(15), 0.0))
+        p = Perturbation(rotation=0.0, tilt=(math.radians(15), 0.0))
         out = apply_perturbation(shape, p)
         c, s = math.cos(math.radians(15)), math.sin(math.radians(15))
         np.testing.assert_allclose(out.vertices[0] - 16.0, [0.0, 4 * c, 4 * s], atol=1e-12)
 
     def test_translation_scaled_by_object_size(self):
         shape = self.normalized_point([0.0, 0.0, 0.0])
-        out = apply_perturbation(shape, Perturbation("T01", translation=(0.1, 0.0, -0.05)))
+        out = apply_perturbation(shape, Perturbation(translation=(0.1, 0.0, -0.05)))
         # object size is 32 - 2*2 = 28
         np.testing.assert_allclose(out.vertices[0] - 16.0, [2.8, 0.0, -1.4], atol=1e-12)
 
     def test_scale_is_per_axis_about_center(self):
         shape = self.normalized_point([2.0, 2.0, 2.0])
-        out = apply_perturbation(shape, Perturbation("S", scale=(1.1, 0.9, 1.0)))
+        out = apply_perturbation(shape, Perturbation(scale=(1.1, 0.9, 1.0)))
         np.testing.assert_allclose(out.vertices[0] - 16.0, [2.2, 1.8, 2.0], atol=1e-12)
 
     def test_scale_applied_before_rotation(self):
         shape = self.normalized_point([3.0, 0.0, 0.0])
-        p = Perturbation("composite", rotation=math.pi / 2, scale=(1.1, 1.0, 1.0))
+        p = Perturbation(rotation=math.pi / 2, scale=(1.1, 1.0, 1.0))
         out = apply_perturbation(shape, p)
         # scale stretches x to 3.3 first, the turn then carries it onto y
         np.testing.assert_allclose(out.vertices[0] - 16.0, [0.0, 3.3, 0.0], atol=1e-12)

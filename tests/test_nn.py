@@ -13,7 +13,6 @@ from fieldprobe.nn import (
     Network,
     ReLU,
     Sgd,
-    SgdConfig,
     Tensor,
     grad_check,
     softmax_cross_entropy,
@@ -27,20 +26,9 @@ class TestTensor:
         t.values[0, 0] = 5.0
         assert arr[0, 0] == 5.0
 
-    def test_shared_grad_buffer(self):
-        arr = np.zeros(3)
-        buf = np.zeros(3)
-        t = Tensor(arr, grad=buf)
-        t.grad += 1.0
-        assert buf[0] == 1.0
-        t.zero_grad()
-        assert not buf.any()
-
     def test_validation(self):
         with pytest.raises(ValueError, match="rank"):
             Tensor(np.zeros((1, 1, 1, 1)))
-        with pytest.raises(ValueError, match="grad shape"):
-            Tensor(np.zeros(3), grad=np.zeros(4))
 
 
 class TestFullyConnected:
@@ -255,14 +243,14 @@ class TestSgd:
 
     def test_plain_descent(self):
         p = self.make_param(1.0)
-        opt = Sgd([p], SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.0))
+        opt = Sgd([p], 0.1, 0.0, 0.0)
         p.grad[:] = 2.0
         opt.step()
         np.testing.assert_allclose(p.values, [1.0 - 0.1 * 2.0])
 
     def test_momentum_unrolled(self):
         p = self.make_param(0.0)
-        opt = Sgd([p], SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0))
+        opt = Sgd([p], 0.1, 0.9, 0.0)
         p.grad[:] = 1.0
         opt.step()
         first = p.values[0]
@@ -274,14 +262,14 @@ class TestSgd:
 
     def test_decay_shrinks(self):
         p = self.make_param(4.0)
-        opt = Sgd([p], SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.01))
+        opt = Sgd([p], 0.1, 0.0, 0.01)
         p.grad[:] = 0.0
         opt.step()
         np.testing.assert_allclose(p.values, [4.0 * (1 - 0.1 * 0.01)])
 
     def test_decay_exemption(self):
         p = self.make_param(4.0, decay=False)
-        opt = Sgd([p], SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.01))
+        opt = Sgd([p], 0.1, 0.0, 0.01)
         p.grad[:] = 0.0
         opt.step()
         np.testing.assert_allclose(p.values, [4.0])
@@ -290,10 +278,8 @@ class TestSgd:
         for rate in (0.5, 3.0, 100.0):
             scaled = self.make_param(2.0, rate=rate)
             plain = self.make_param(2.0)
-            cfg = SgdConfig(learning_rate=0.01, momentum=0.9, weight_decay=0.01)
-            opt_scaled = Sgd([scaled], cfg)
-            opt_plain = Sgd([plain], SgdConfig(learning_rate=0.01 * rate, momentum=0.9,
-                                               weight_decay=0.01))
+            opt_scaled = Sgd([scaled], 0.01, 0.9, 0.01)
+            opt_plain = Sgd([plain], 0.01 * rate, 0.9, 0.01)
             for g in (1.5, -0.25, 4.0):
                 scaled.grad[:] = plain.grad[:] = g
                 opt_scaled.step()
@@ -303,27 +289,19 @@ class TestSgd:
 
     def test_zero_grads(self):
         p = self.make_param(1.0)
-        opt = Sgd([p], SgdConfig())
+        opt = Sgd([p], 0.01, 0.9, 0.0005)
         p.grad[:] = 3.0
         opt.zero_grads()
         assert not p.grad.any()
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Sgd([self.make_param(1.0), self.make_param(2.0)], SgdConfig())
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="learning_rate"):
-            SgdConfig(learning_rate=0.0)
-        with pytest.raises(ValueError, match="momentum"):
-            SgdConfig(momentum=1.0)
-        with pytest.raises(ValueError, match="weight_decay"):
-            SgdConfig(weight_decay=-1.0)
+            Sgd([self.make_param(1.0), self.make_param(2.0)], 0.01, 0.9, 0.0005)
 
     def test_updates_shared_storage_in_place(self):
         arr = np.array([2.0], dtype=np.float32)
         p = Tensor(arr, name="shared")
-        opt = Sgd([p], SgdConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.0))
+        opt = Sgd([p], 0.5, 0.0, 0.0)
         p.grad[:] = 1.0
         opt.step()
         assert arr[0] == np.float32(1.5)
@@ -359,7 +337,7 @@ class TestNetwork:
     def test_loss_decreases_over_first_steps(self):
         rng = np.random.default_rng(15)
         net = tiny_network(rng, dtype=np.float64)
-        opt = Sgd(net.params(), SgdConfig(learning_rate=1e-3, momentum=0.9, weight_decay=0.0))
+        opt = Sgd(net.params(), 1e-3, 0.9, 0.0)
         x = rng.standard_normal((16, 6))
         labels = rng.integers(0, 3, size=16)
         losses = []

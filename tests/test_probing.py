@@ -9,7 +9,7 @@ import pytest
 
 from fieldprobe import probing
 from fieldprobe.field import ROLE_DISTANCE, ROLE_GENERIC, Field3D
-from fieldprobe.nn import block_error, numeric_gradient
+from fieldprobe.nn import Sgd, block_error, numeric_gradient
 from fieldprobe.probing import (
     FilterBank,
     InitConfig,
@@ -133,12 +133,16 @@ class TestFilterBank:
             FilterBank(np.full((1, 2, 3), 9.0), np.zeros((1, 2, 1)), 8)
 
     def test_gradient_buffers(self):
-        bank = FilterBank(np.ones((2, 3, 3)), np.zeros((2, 3, 1)), 8)
-        bank.location_gradients += 2.0
-        bank.weight_gradients += 3.0
-        bank.zero_gradients()
-        assert not bank.location_gradients.any()
-        assert not bank.weight_gradients.any()
+        # the layer's tensors share the bank's values and own the gradients
+        bank = FilterBank(np.ones((2, 3, 3), np.float32), np.zeros((2, 3, 1)), 8)
+        layer = ProbingLayer(bank, 1.0)
+        for tensor, values in ((layer.locations, bank.locations),
+                               (layer.weights, bank.weights)):
+            assert tensor.values is values
+            assert tensor.grad.shape == values.shape
+            assert tensor.grad.dtype == np.float32
+            assert not tensor.grad.any()
+            assert not np.shares_memory(tensor.grad, values)
 
     def test_clamp(self):
         bank = FilterBank(np.ones((1, 2, 3)), np.zeros((1, 2, 1)), 8)
@@ -216,8 +220,8 @@ class TestSensor:
         rng = np.random.default_rng(4)
         bank = small_bank(rng)
         out = sensor_forward(bank, [generic_field(rng)])
-        sensor_backward(bank, out, np.zeros_like(out.values))
-        assert not bank.location_gradients.any()
+        grads = sensor_backward(out, np.zeros_like(out.values))
+        assert grads.shape == bank.locations.shape and not grads.any()
 
     def test_backward_linear_field_unit_upstream(self):
         fld = linear_field((1.0, 0.0, 0.0), 8)
@@ -226,36 +230,30 @@ class TestSensor:
         out = sensor_forward(bank, [fld])
         upstream = np.zeros((1, 1, 2, 1))
         upstream[0, 0, 0, 0] = 1.0
-        sensor_backward(bank, out, upstream)
-        np.testing.assert_allclose(bank.location_gradients[0, 0], [1.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(bank.location_gradients[0, 1], 0.0, atol=1e-12)
+        grads = sensor_backward(out, upstream)
+        np.testing.assert_allclose(grads[0, 0], [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(grads[0, 1], 0.0, atol=1e-12)
 
-    def test_backward_accumulates(self):
+    def test_backward_sums_over_the_batch(self):
         rng = np.random.default_rng(5)
         bank = small_bank(rng)
         fld = generic_field(rng)
         upstream = rng.standard_normal((1, 3, 4, 1))
-        out = sensor_forward(bank, [fld])
-        sensor_backward(bank, out, upstream)
-        once = bank.location_gradients.copy()
-        out = sensor_forward(bank, [fld])
-        sensor_backward(bank, out, upstream)
-        np.testing.assert_allclose(bank.location_gradients, 2 * once, rtol=1e-12)
+        once = sensor_backward(sensor_forward(bank, [fld]), upstream)
         # one batch of the field twice sums the same two contributions
-        bank.zero_gradients()
         out = sensor_forward(bank, [fld, fld])
-        sensor_backward(bank, out, np.concatenate([upstream, upstream]))
-        np.testing.assert_allclose(bank.location_gradients, 2 * once, rtol=1e-12)
+        twice = sensor_backward(out, np.concatenate([upstream, upstream]))
+        np.testing.assert_allclose(twice, 2 * once, rtol=1e-12)
 
     def test_backward_requires_forward(self):
         rng = np.random.default_rng(6)
         bank = small_bank(rng)
         with pytest.raises(RuntimeError, match="before forward"):
-            sensor_backward(bank, None, np.zeros((1, 3, 4, 1)))
+            sensor_backward(None, np.zeros((1, 3, 4, 1)))
         out = sensor_forward(bank, [generic_field(rng)], with_gradients=False)
         assert out.gradients is None
         with pytest.raises(RuntimeError, match="without gradients"):
-            sensor_backward(bank, out, np.zeros((1, 3, 4, 1)))
+            sensor_backward(out, np.zeros((1, 3, 4, 1)))
 
     def test_location_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -268,11 +266,9 @@ class TestSensor:
             def loss():
                 return float((sensor_forward(bank, fields).values * r_weights).sum())
 
-            bank.zero_gradients()
-            out = sensor_forward(bank, fields)
-            sensor_backward(bank, out, r_weights)
+            analytic = sensor_backward(sensor_forward(bank, fields), r_weights)
             numeric = numeric_gradient(loss, bank.locations, FD_STEP)
-            worst = max(worst, block_error(bank.location_gradients, numeric))
+            worst = max(worst, block_error(analytic, numeric))
         assert worst <= 1e-5
 
 
@@ -337,18 +333,18 @@ class TestDotProduct:
     def test_backward_hand_values(self):
         bank = FilterBank(np.ones((1, 2, 3)), np.array([[[0.5], [-1.0]]]), 8)
         vals = np.array([[[[3.0], [4.0]]], [[[1.0], [1.0]]]])
-        grads = dotproduct_backward(bank, vals, np.array([[1.0], [2.0]]))
+        grads, weight_grads = dotproduct_backward(bank, vals, np.array([[1.0], [2.0]]))
         np.testing.assert_allclose(grads[0, 0, :, 0], [0.5, -1.0])
         np.testing.assert_allclose(grads[1, 0, :, 0], [1.0, -2.0])
         # summed over the batch: 1 * (3, 4) + 2 * (1, 1)
-        np.testing.assert_allclose(bank.weight_gradients[0, :, 0], [5.0, 6.0])
+        np.testing.assert_allclose(weight_grads[0, :, 0], [5.0, 6.0])
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(12)
         bank = small_bank(rng)
         vals = rng.standard_normal((2, 3, 4, 1))
-        grads = dotproduct_backward(bank, vals, np.zeros((2, 3)))
-        assert not grads.any() and not bank.weight_gradients.any()
+        grads, weight_grads = dotproduct_backward(bank, vals, np.zeros((2, 3)))
+        assert not grads.any() and not weight_grads.any()
 
     def test_bilinear(self):
         rng = np.random.default_rng(13)
@@ -391,10 +387,9 @@ class TestDotProduct:
             def loss():
                 return float((dotproduct_forward(bank, vals) * upstream).sum())
 
-            bank.zero_gradients()
-            analytic_in = dotproduct_backward(bank, vals, upstream)
+            analytic_in, analytic_w = dotproduct_backward(bank, vals, upstream)
             assert block_error(analytic_in, numeric_gradient(loss, vals, FD_STEP)) <= 1e-6
-            assert block_error(bank.weight_gradients,
+            assert block_error(analytic_w,
                                numeric_gradient(loss, bank.weights, FD_STEP)) <= 1e-6
 
 
@@ -449,6 +444,21 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="without a training forward"):
             layer.backward(np.zeros((1, 2)))
 
+    def test_backward_adds_into_the_tensors(self):
+        rng = np.random.default_rng(27)
+        layer, fields = self.build(rng, [ROLE_DISTANCE, ROLE_GENERIC], batch=2)
+        upstream = rng.standard_normal((2, 2))
+        layer.forward(fields, train=True)
+        layer.backward(upstream)
+        once = [p.grad.copy() for p in layer.params()]
+        assert all(g.any() for g in once)
+        layer.forward(fields, train=True)
+        layer.backward(upstream)
+        for p, g in zip(layer.params(), once):
+            np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-12)
+        Sgd(layer.params(), 0.01, 0.9, 0.0).zero_grads()
+        assert not any(p.grad.any() for p in layer.params())
+
     def test_eval_forward_leaves_no_cache(self):
         rng = np.random.default_rng(20)
         layer, fields = self.build(rng, [ROLE_DISTANCE])
@@ -484,12 +494,11 @@ class TestPipeline:
             def loss():
                 return float((layer.forward(fields) * upstream).sum())
 
-            bank.zero_gradients()
             layer.forward(fields, train=True)
             layer.backward(upstream)
             worst_loc = max(worst_loc, block_error(
-                bank.location_gradients, numeric_gradient(loss, bank.locations, FD_STEP)))
+                layer.locations.grad, numeric_gradient(loss, bank.locations, FD_STEP)))
             worst_w = max(worst_w, block_error(
-                bank.weight_gradients, numeric_gradient(loss, bank.weights, FD_STEP)))
+                layer.weights.grad, numeric_gradient(loss, bank.weights, FD_STEP)))
         assert worst_loc <= 1e-4
         assert worst_w <= 1e-4

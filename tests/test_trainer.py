@@ -149,6 +149,9 @@ class TestTrainConfig:
         (dict(samples_per_area=0.0), "samples_per_area"),
         (dict(augmentation="R15+T03"), "unknown perturbation"),
         (dict(pipeline_workers=0), "pipeline_workers"),
+        (dict(learning_rate=0), "learning_rate"),
+        (dict(momentum=1.0), "momentum"),
+        (dict(weight_decay=-1), "weight_decay"),
         (dict(batch_size=0), "batch_size"),
         (dict(max_iterations=-1), "max_iterations"),
     ])
@@ -159,6 +162,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("text,hint", [
         ("resolution=4\n", "resolution must be >= 8"),
         ("seed=1\npipeline_workers=0\n", "pipeline_workers must be >= 1"),
+        ("momentum=1.0\n", "momentum must be in"),
     ])
     def test_range_error_in_text_is_parse_error(self, text, hint):
         # the same kind of error SyntheticSpec.from_text reports
@@ -467,16 +471,16 @@ class TestProbingBlock:
         upstream = np.random.default_rng(5).standard_normal((4, 3))
         block.forward(fields, train=True)
         block.backward(upstream)
-        got_loc = bank.location_gradients.copy()
-        got_w = bank.weight_gradients.copy()
+        got_loc = block.locations.grad.copy()
+        got_w = block.weights.grad.copy()
 
         ref_bank, ref_block = small_block()
         for row, field in enumerate(fields):
             ref_block.forward([field], train=True)
             ref_block.backward(upstream[row:row + 1])
-        np.testing.assert_allclose(got_loc, ref_bank.location_gradients,
+        np.testing.assert_allclose(got_loc, ref_block.locations.grad,
                                    rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got_w, ref_bank.weight_gradients,
+        np.testing.assert_allclose(got_w, ref_block.weights.grad,
                                    rtol=1e-12, atol=0)
 
     def test_backward_requires_training_forward(self):
@@ -501,7 +505,7 @@ class TestProbingBlock:
         assert state["probing.locations"] is bank.locations
         out = block.forward(random_fields(2), train=True)
         assert block.backward(np.zeros_like(out)) is None
-        assert np.all(bank.location_gradients == 0)
+        assert np.all(block.locations.grad == 0)
 
     def test_sigma_validated(self):
         bank, _ = small_block()
