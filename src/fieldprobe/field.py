@@ -12,7 +12,8 @@ Once gradients are needed, a field keeps one channel-last block of shape
 (R, R, R, 4T): each voxel's row holds the T values, then each channel's
 (x, y, z) gradient. `values` and `gradients` are views of that block, so a
 trilinear sample reads 8 contiguous rows, one per cell corner, and its cost
-follows the number of points, not R^3.
+follows the number of points, not R^3. `sample_field`, the one sampler,
+alone reads this layout; the probing layer reads its batch through it.
 """
 
 from __future__ import annotations
@@ -198,34 +199,41 @@ def gather_corners(field, index, with_gradients=True):
     return np.moveaxis(planes, 0, -1)
 
 
-def interpolate(rows, weights, out=None):
+def interpolate(rows, weights, out):
     """Trilinear values from (8, ..., K) corner rows and weights
-    broadcastable to them: each corner's product is taken in float64 and
-    the corners are added in dz, dy, dx order, so integer points reproduce
-    stored values exactly. One corner at a time keeps the temporaries at
-    one corner's size."""
-    out = np.multiply(weights[0], rows[0], out=out)
+    broadcastable to them, written into `out`: each corner's product is
+    taken in float64 and the corners are added in dz, dy, dx order, so
+    integer points reproduce stored values exactly. One corner at a time
+    keeps the temporaries at one corner's size."""
+    np.multiply(weights[0], rows[0], out=out)
     for k in range(1, 8):
         out += weights[k] * rows[k]
-    return out
 
 
-def sample_field(field: Field3D, points, with_gradients=True):
-    """Sample every channel at the given (M, 3) points.
+def sample_field(fields, points, with_gradients=True):
+    """Sample every channel of a batch of B fields at shared (M, 3) points.
 
-    Returns (values, gradients): values is (M, T); gradients is (M, T, 3),
-    the trilinearly interpolated precomputed gradient stack, or None when
-    with_gradients is false. A gradient-free sample (the eval path) of a
-    field whose block is not built reads `values` alone and never builds it.
+    Returns (values, gradients): values is (B, M, T); gradients is
+    (B, M, T, 3), the trilinearly interpolated precomputed gradient stack,
+    or None when with_gradients is false. Corners and weights are computed
+    once, on the first field's lattice, and each field costs one gather of
+    its corner rows. A gradient-free sample (eval, frozen banks) of a field
+    whose block is not built reads `values` alone and never builds it.
     """
+    t, r = fields[0].channel_count, fields[0].resolution
+    if any(field.resolution != r or field.channel_count != t for field in fields):
+        raise ValueError("fields in one batch must share their resolution and channels")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    t = field.channel_count
-    index, weights = trilinear_corners(points, field.resolution)
-    rows = interpolate(gather_corners(field, index, with_gradients),
-                       weights[..., None])
+    index, weights = trilinear_corners(points, r)
+    width = 4 * t if with_gradients else t
+    # full-width weights keep the interpolation's inner loops long
+    weights = np.repeat(weights[..., None], width, axis=2)
+    rows = np.empty((len(fields), len(points), width), dtype=np.float64)
+    for field, out in zip(fields, rows):
+        interpolate(gather_corners(field, index, with_gradients), weights, out)
     if not with_gradients:
         return rows, None
-    return rows[:, :t], rows[:, t:].reshape(-1, t, 3)
+    return rows[..., :t], rows[..., t:].reshape(len(fields), -1, t, 3)
 
 
 def write_field(field: Field3D) -> bytes:

@@ -4,7 +4,9 @@ one scalar per filter via a trainable dot product.
 
 `ProbingLayer` is the one implementation a network runs. Its stages,
 `sensor_*`, `gaussian_*` and `dotproduct_*`, take a leading batch axis, so
-the isolated gradient checks test the code that training runs.
+the isolated gradient checks test the code that training runs. The sensor
+reads its batch through `field.sample_field`, so the field's block layout
+is known to `field` alone.
 
 Both the point locations and the dot-product weights are trainable. Location
 gradients flow through the sampled field's spatial gradients ("the gradients
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ROLE_DISTANCE, gather_corners, interpolate, trilinear_corners
+from .field import ROLE_DISTANCE, sample_field
 from .ingest import GridFrame
 from .nn import Tensor
 
@@ -153,59 +155,39 @@ def init_filter_bank(
     return FilterBank(locations.astype(dtype), weights.astype(dtype), resolution)
 
 
-@dataclass
-class SensorOutput:
-    """Probe readings of a batch of B fields: values (B, C, N, T) and the
-    fields' spatial gradients at the probed locations (B, C, N, T, 3), or
-    None when read without gradients, kept for backward."""
-
-    values: np.ndarray
-    gradients: np.ndarray
-
-
-def sensor_forward(bank: FilterBank, fields, with_gradients=True) -> SensorOutput:
-    """Read every field of a batch at every probing point. The points are
-    shared by the batch, so their cell corners and trilinear weights are
-    computed once and each field costs one gather of its corner rows;
-    without gradients (eval, frozen banks) it gathers value rows only."""
+def sensor_forward(bank: FilterBank, fields, with_gradients=True):
+    """Read every field of a batch at every probing point through
+    `sample_field`. Returns (values, gradients): values (B, C, N, T) and
+    the fields' spatial gradients at the probed locations (B, C, N, T, 3),
+    kept for backward, or None without gradients (eval, frozen banks)."""
     if not fields:
         raise ValueError("a probing batch needs at least one field")
-    for field in fields:
-        if field.resolution != bank.resolution:
-            raise ValueError(
-                f"field resolution {field.resolution} does not match bank {bank.resolution}"
-            )
-        if field.channel_count != bank.channel_count:
-            raise ValueError(
-                f"field has {field.channel_count} channels, bank expects {bank.channel_count}"
-            )
-        if not np.array_equal(field.roles, fields[0].roles):
-            raise ValueError("fields in one batch must share their channel roles")
+    first = fields[0]
+    if first.resolution != bank.resolution:
+        raise ValueError(f"field resolution {first.resolution}, bank {bank.resolution}")
+    if first.channel_count != bank.channel_count:
+        raise ValueError(f"field has {first.channel_count} channels, bank {bank.channel_count}")
     c, n, t = bank.filter_count, bank.points_per_filter, bank.channel_count
-    index, weights = trilinear_corners(bank.locations.reshape(c * n, 3), bank.resolution)
-    width = 4 * t if with_gradients else t
-    # full-width weights keep the interpolation's inner loops long
-    weights = np.repeat(weights[..., None], width, axis=2)
-    rows = np.empty((len(fields), c * n, width), dtype=np.float64)
-    for field, out in zip(fields, rows):
-        interpolate(gather_corners(field, index, with_gradients), weights, out=out)
-    values = rows[..., :t].reshape(-1, c, n, t)
-    gradients = rows[..., t:].reshape(-1, c, n, t, 3) if with_gradients else None
-    return SensorOutput(values, gradients)
+    # sample_field refuses a batch that mixes resolutions or channel counts
+    values, gradients = sample_field(fields, bank.locations.reshape(c * n, 3),
+                                     with_gradients)
+    if any(not np.array_equal(field.roles, first.roles) for field in fields):
+        raise ValueError("fields in one batch must share their channel roles")
+    if gradients is not None:
+        gradients = gradients.reshape(-1, c, n, t, 3)
+    return values.reshape(-1, c, n, t), gradients
 
 
-def sensor_backward(cache: SensorOutput, upstream) -> np.ndarray:
-    """Location gradients (C, N, 3): the chain rule routes each channel's
-    upstream gradient through the field gradient sampled at that point,
-    summed over the batch."""
-    if cache is None:
-        raise RuntimeError("sensor backward called before forward")
-    if cache.gradients is None:
+def sensor_backward(gradients, upstream) -> np.ndarray:
+    """Location gradients (C, N, 3) from the sensor's (B, C, N, T, 3)
+    gradients: the chain rule routes each channel's upstream gradient
+    through the field gradient sampled at its point, summed over the batch."""
+    if gradients is None:
         raise RuntimeError("forward ran without gradients; no backward possible")
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != cache.values.shape:
-        raise ValueError(f"upstream {upstream.shape} does not match {cache.values.shape}")
-    return np.einsum("bcnt,bcntk->cnk", upstream, cache.gradients)
+    if upstream.shape != gradients.shape[:-1]:
+        raise ValueError(f"upstream {upstream.shape} does not match {gradients.shape[:-1]}")
+    return np.einsum("bcnt,bcntk->cnk", upstream, gradients)
 
 
 def gaussian_forward(values, sigma):
@@ -288,20 +270,16 @@ class ProbingLayer:
         return [] if self.frozen else [self.locations, self.weights]
 
     def state(self):
-        """Frozen banks still belong in checkpoints; trainable ones are
-        already covered through params()."""
-        if not self.frozen:
-            return {}
-        return {self.locations.name: self.locations.values,
-                self.weights.name: self.weights.values}
+        """Both bank blocks, trained or not, so a frozen bank is checkpointed."""
+        return {p.name: p.values for p in (self.locations, self.weights)}
 
     def forward(self, fields, train=False, rng=None):
         track = train and not self.frozen
-        sensor = sensor_forward(self.bank, fields, with_gradients=track)
+        values, gradients = sensor_forward(self.bank, fields, with_gradients=track)
         mask = fields[0].roles == ROLE_DISTANCE
-        squashed = sensor.values.copy()
-        squashed[..., mask] = gaussian_forward(sensor.values[..., mask], self.sigma)
-        self._cache = (sensor, mask, squashed) if track else None
+        squashed = values.copy()
+        squashed[..., mask] = gaussian_forward(values[..., mask], self.sigma)
+        self._cache = (values, gradients, mask, squashed) if track else None
         return dotproduct_forward(self.bank, squashed)
 
     def backward(self, upstream):
@@ -309,10 +287,10 @@ class ProbingLayer:
             return None
         if self._cache is None:
             raise RuntimeError("probing backward without a training forward")
-        (sensor, mask, squashed), self._cache = self._cache, None
+        (values, gradients, mask, squashed), self._cache = self._cache, None
         grads, weight_grads = dotproduct_backward(self.bank, squashed, upstream)
         self.weights.grad += weight_grads
-        grads[..., mask] = gaussian_backward(sensor.values[..., mask],
-                                             grads[..., mask], self.sigma)
-        self.locations.grad += sensor_backward(sensor, grads)
+        grads[..., mask] = gaussian_backward(values[..., mask], grads[..., mask],
+                                             self.sigma)
+        self.locations.grad += sensor_backward(gradients, grads)
         return None

@@ -145,8 +145,9 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2: every architecture "
+                             "batch-normalizes the probing features")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.augmentation:

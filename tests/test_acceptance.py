@@ -86,11 +86,11 @@ def _sensor_error(seed):
     proj = rng.standard_normal((1, 2, 3, 2))
 
     def loss():
-        values = sensor_forward(bank, fields, with_gradients=False).values
+        values, _ = sensor_forward(bank, fields, with_gradients=False)
         return float((values * proj).sum())
 
-    out = sensor_forward(bank, fields, with_gradients=True)
-    return block_error(sensor_backward(out, proj),
+    _, gradients = sensor_forward(bank, fields, with_gradients=True)
+    return block_error(sensor_backward(gradients, proj),
                        numeric_gradient(loss, bank.locations, FD_STEP))
 
 
@@ -362,15 +362,15 @@ def test_a3_trilinear_exactness(acceptance):
         res = int(rng.integers(5, 10))
         field, evaluate = multilinear_field(rng, res, [ROLE_GENERIC] * 2)
         pts = rng.uniform(0.0, res - 1.0, size=(1000, 3))
-        got, _ = sample_field(field, pts, with_gradients=False)
+        got = sample_field([field], pts, with_gradients=False)[0][0]
         want = evaluate(pts).T
         scale = np.abs(want).max()
         rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-3 * scale)
         worst_rel = max(worst_rel, float(rel.max()))
 
         nodes = rng.integers(0, res, size=(50, 3))
-        got_nodes, _ = sample_field(field, nodes.astype(np.float64),
-                                    with_gradients=False)
+        got_nodes = sample_field([field], nodes.astype(np.float64),
+                                 with_gradients=False)[0][0]
         stored = field.values[:, nodes[:, 2], nodes[:, 1], nodes[:, 0]].T
         ulps = np.abs(got_nodes - stored) / np.spacing(np.abs(stored))
         worst_ulps = max(worst_ulps, float(ulps.max()))

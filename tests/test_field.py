@@ -275,9 +275,9 @@ class TestSampling:
             coef = rng.uniform(-2, 2, size=8)
             fld = field_from_closed_form(coef, 8)
             pts = rng.uniform(0, 7, size=(50, 3))
-            vals, _ = sample_field(fld, pts, with_gradients=False)
+            vals, _ = sample_field([fld], pts, with_gradients=False)
             np.testing.assert_allclose(
-                vals[:, 0], trilinear_closed_form(coef, pts), rtol=0, atol=1e-9
+                vals[0, :, 0], trilinear_closed_form(coef, pts), rtol=0, atol=1e-9
             )
 
     def test_nodes_reproduced_exactly(self):
@@ -285,41 +285,41 @@ class TestSampling:
         vals = rng.standard_normal((2, 6, 6, 6)).astype(np.float32)
         fld = Field3D(vals, [ROLE_DISTANCE, ROLE_GENERIC])
         nodes = rng.integers(0, 6, size=(40, 3))
-        sampled, _ = sample_field(fld, nodes.astype(np.float64), with_gradients=False)
+        sampled, _ = sample_field([fld], nodes.astype(np.float64), with_gradients=False)
         for k, (x, y, z) in enumerate(nodes):
-            assert sampled[k, 0] == np.float64(vals[0, z, y, x])
-            assert sampled[k, 1] == np.float64(vals[1, z, y, x])
+            assert sampled[0, k, 0] == np.float64(vals[0, z, y, x])
+            assert sampled[0, k, 1] == np.float64(vals[1, z, y, x])
 
     def test_corner_node_exact(self):
         # p = R-1 exercises the clamped base cell with fraction exactly 1
         vals = np.arange(8, dtype=np.float64).reshape(1, 2, 2, 2)
         fld = Field3D(vals, [ROLE_GENERIC])
-        sampled, _ = sample_field(fld, [[1.0, 1.0, 1.0]], with_gradients=False)
-        assert sampled[0, 0] == 7.0
+        sampled, _ = sample_field([fld], [[1.0, 1.0, 1.0]], with_gradients=False)
+        assert sampled[0, 0, 0] == 7.0
 
     def test_out_of_hull_points_clamped(self):
         rng = np.random.default_rng(61)
         fld = Field3D(rng.standard_normal((1, 5, 5, 5)), [ROLE_GENERIC])
-        far, _ = sample_field(fld, [[-3.0, 2.2, 99.0]], with_gradients=False)
-        edge, _ = sample_field(fld, [[0.0, 2.2, 4.0]], with_gradients=False)
-        assert far[0, 0] == edge[0, 0]
+        far, _ = sample_field([fld], [[-3.0, 2.2, 99.0]], with_gradients=False)
+        edge, _ = sample_field([fld], [[0.0, 2.2, 4.0]], with_gradients=False)
+        assert far[0, 0, 0] == edge[0, 0, 0]
 
     def test_midpoint_hand_value(self):
         vals = np.zeros((1, 2, 2, 2))
         vals[0, 1, 1, 1] = 8.0
         fld = Field3D(vals, [ROLE_GENERIC])
-        sampled, _ = sample_field(fld, [[0.5, 0.5, 0.5]], with_gradients=False)
-        assert sampled[0, 0] == pytest.approx(1.0)  # 8 / 2^3
+        sampled, _ = sample_field([fld], [[0.5, 0.5, 0.5]], with_gradients=False)
+        assert sampled[0, 0, 0] == pytest.approx(1.0)  # 8 / 2^3
 
     def test_gradients_of_linear_field_are_constant(self):
         coef = np.array([1.0, 2.0, 3.0, -1.0, 0, 0, 0, 0])
         fld = field_from_closed_form(coef, 8)
         rng = np.random.default_rng(67)
         pts = rng.uniform(0, 7, size=(30, 3))
-        _, grads = sample_field(fld, pts)
-        np.testing.assert_allclose(grads[:, 0, 0], 2.0, atol=1e-12)
-        np.testing.assert_allclose(grads[:, 0, 1], 3.0, atol=1e-12)
-        np.testing.assert_allclose(grads[:, 0, 2], -1.0, atol=1e-12)
+        _, grads = sample_field([fld], pts)
+        np.testing.assert_allclose(grads[0, :, 0, 0], 2.0, atol=1e-12)
+        np.testing.assert_allclose(grads[0, :, 0, 1], 3.0, atol=1e-12)
+        np.testing.assert_allclose(grads[0, :, 0, 2], -1.0, atol=1e-12)
 
     def test_gradients_interpolate_gradient_stack(self):
         # the reported gradient is the interpolated precomputed stack, so at
@@ -327,18 +327,18 @@ class TestSampling:
         rng = np.random.default_rng(71)
         vals = rng.standard_normal((1, 6, 6, 6))
         fld = Field3D(vals, [ROLE_GENERIC])
-        _, grads = sample_field(fld, [[2.0, 3.0, 1.0]])
+        _, grads = sample_field([fld], [[2.0, 3.0, 1.0]])
         gz, gy, gx = np.gradient(vals[0])
-        np.testing.assert_allclose(grads[0, 0], [gx[1, 3, 2], gy[1, 3, 2], gz[1, 3, 2]], atol=1e-12)
+        np.testing.assert_allclose(grads[0, 0, 0], [gx[1, 3, 2], gy[1, 3, 2], gz[1, 3, 2]], atol=1e-12)
 
     def test_single_point_accepted(self):
         fld = Field3D(np.zeros((1, 4, 4, 4)), [ROLE_GENERIC])
-        vals, grads = sample_field(fld, [1.0, 2.0, 3.0])
-        assert vals.shape == (1, 1) and grads.shape == (1, 1, 3)
+        vals, grads = sample_field([fld], [1.0, 2.0, 3.0])
+        assert vals.shape == (1, 1, 1) and grads.shape == (1, 1, 1, 3)
 
     def test_gradient_skip_path(self):
         fld = Field3D(np.zeros((1, 4, 4, 4)), [ROLE_GENERIC])
-        vals, grads = sample_field(fld, [[1, 1, 1]], with_gradients=False)
+        vals, grads = sample_field([fld], [[1, 1, 1]], with_gradients=False)
         assert grads is None
 
     def test_float32_matches_float64_copy_bitwise(self):
@@ -350,14 +350,40 @@ class TestSampling:
         narrow = Field3D(vals.astype(np.float32), [ROLE_DISTANCE, ROLE_GENERIC])
         wide = Field3D(vals.astype(np.float64), [ROLE_DISTANCE, ROLE_GENERIC])
         pts = rng.uniform(-1.0, 7.0, size=(200, 3))
-        before, _ = sample_field(narrow, pts, with_gradients=False)
-        np.testing.assert_array_equal(before, sample_field(wide, pts, with_gradients=False)[0])
-        v32, g32 = sample_field(narrow, pts)
-        v64, g64 = sample_field(wide, pts)
+        before, _ = sample_field([narrow], pts, with_gradients=False)
+        np.testing.assert_array_equal(before, sample_field([wide], pts, with_gradients=False)[0])
+        v32, g32 = sample_field([narrow], pts)
+        v64, g64 = sample_field([wide], pts)
         np.testing.assert_array_equal(v32, v64)
         np.testing.assert_array_equal(g32, g64)
         np.testing.assert_array_equal(v32, before)
-        np.testing.assert_array_equal(sample_field(narrow, pts, with_gradients=False)[0], before)
+        np.testing.assert_array_equal(sample_field([narrow], pts, with_gradients=False)[0], before)
+
+    def test_batch_rows_are_the_fields_read_alone(self):
+        # a gradient-free batch gathers each field's rows its own way:
+        # block rows of a built field, channel planes of an unbuilt one
+        rng = np.random.default_rng(83)
+        fields = [Field3D(rng.standard_normal((2, 6, 6, 6)).astype(np.float32),
+                          [ROLE_DISTANCE, ROLE_GENERIC]) for _ in range(4)]
+        fields[1].gradients
+        fields[2].gradients
+        pts = rng.uniform(-0.5, 5.5, size=(60, 3))
+        batch, grads = sample_field(fields, pts, with_gradients=False)
+        assert batch.shape == (4, 60, 2) and grads is None
+        for row, fld in zip(batch, fields):
+            np.testing.assert_array_equal(row, sample_field([fld], pts, with_gradients=False)[0][0])
+        assert fields[0]._block is None and fields[3]._block is None
+
+    def test_mixed_batch_rejected(self):
+        rng = np.random.default_rng(89)
+        base = Field3D(rng.standard_normal((2, 6, 6, 6)), [ROLE_DISTANCE, ROLE_GENERIC])
+        finer = Field3D(rng.standard_normal((2, 7, 7, 7)), [ROLE_DISTANCE, ROLE_GENERIC])
+        narrower = Field3D(rng.standard_normal((1, 6, 6, 6)), [ROLE_DISTANCE])
+        pts = [[1.0, 2.0, 3.0]]
+        for other, hint in ((finer, "resolution"), (narrower, "channels")):
+            for with_gradients in (False, True):
+                with pytest.raises(ValueError, match=hint):
+                    sample_field([base, other], pts, with_gradients)
 
 
     @pytest.mark.parametrize("channels", [1, 4])
@@ -374,7 +400,7 @@ class TestSampling:
         pts = rng.uniform(0.0, r - 1.0, size=(512, 3))
         tracemalloc.start()
         try:
-            sample_field(fld, pts, with_gradients=False)
+            sample_field([fld], pts, with_gradients=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

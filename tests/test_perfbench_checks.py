@@ -7,6 +7,11 @@ measurement, so each workload runs here twice, from a copy of the
 program and the benchmark, the second run comparing its digest with the
 first's. `wall_ms_covers_train` is not asserted: at `--tiny` sizes the
 fixed set-up cost of a training dominates its few iterations.
+
+A traced run of each workload must also report every per-layer metric
+`BENCHMARK.json` names, each above zero, save the stages that workload
+never calls. A metric whose name still resolves but reads 0 shows that
+the program stopped calling what it times.
 """
 
 import json
@@ -22,7 +27,13 @@ CHECKS = ("losses_finite", "trainings_identical", "checkpoint_reproducible",
           "eval_repeatable")
 
 with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _handle:
-    WORKLOADS = [w["name"] for w in json.load(_handle)["workloads"]]
+    _BENCHMARK = json.load(_handle)
+WORKLOADS = [w["name"] for w in _BENCHMARK["workloads"]]
+PER_LAYER = [m["name"] for m in _BENCHMARK["per_layer"]]
+# stages a workload never calls: both train on the stock distance-only
+# fields, and desk on unperturbed views
+NEVER_CALLED = {"desk": {"field.normals_ms", "ingest.perturb_ms"},
+                "augment": {"field.normals_ms"}}
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +47,11 @@ def checkout(tmp_path_factory):
     return root
 
 
-def run_tiny(root, workload):
+def run_tiny(root, workload, *flags):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
-         workload, "--seed", "1", "--seconds", "1", "--tiny"],
+         workload, "--seed", "1", "--seconds", "1", "--tiny", *flags],
         cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     record_line, result_line = done.stdout.strip().splitlines()[-2:]
@@ -60,3 +71,13 @@ def test_runs_pass_their_checks(checkout, workload):
     # the second run found the first one's digest and matched it
     assert "earlier run none" not in checks["checkpoint_reproducible"]["detail"]
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_metrics_are_live(checkout, workload):
+    _, result = run_tiny(checkout, workload, "--trace", "1")
+    metrics = result["metrics"]
+    missing = [name for name in PER_LAYER if name not in metrics]
+    assert not missing, missing
+    idle = [name for name in PER_LAYER if not metrics[name]["value"] > 0]
+    assert set(idle) <= NEVER_CALLED[workload], idle

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fieldprobe import probing
+from fieldprobe import field
 from fieldprobe.field import ROLE_DISTANCE, ROLE_GENERIC, Field3D
 from fieldprobe.nn import Sgd, block_error, numeric_gradient
 from fieldprobe.probing import (
@@ -156,35 +156,35 @@ class TestSensor:
         rng = np.random.default_rng(0)
         bank = small_bank(rng, c=2, n=3)
         fld = Field3D(np.full((1, 8, 8, 8), 4.25), [ROLE_GENERIC])
-        out = sensor_forward(bank, [fld, fld])
-        assert out.values.shape == (2, 2, 3, 1)
-        np.testing.assert_allclose(out.values, 4.25, atol=1e-12)
+        values, _ = sensor_forward(bank, [fld, fld])
+        assert values.shape == (2, 2, 3, 1)
+        np.testing.assert_allclose(values, 4.25, atol=1e-12)
 
     def test_linear_field_hand_value(self):
         fld = linear_field((2.0, 3.0, 5.0), 8)
         locs = np.array([[[1.25, 2.5, 0.75], [1.0, 1.0, 1.0]]])
         bank = FilterBank(locs, np.ones((1, 2, 1)), 8)
-        out = sensor_forward(bank, [fld])
-        assert out.values[0, 0, 0, 0] == pytest.approx(13.75, abs=1e-12)
-        assert out.values[0, 0, 1, 0] == pytest.approx(10.0, abs=1e-12)
+        values, _ = sensor_forward(bank, [fld])
+        assert values[0, 0, 0, 0] == pytest.approx(13.75, abs=1e-12)
+        assert values[0, 0, 1, 0] == pytest.approx(10.0, abs=1e-12)
 
     def test_identical_points_identical_reads(self):
         rng = np.random.default_rng(1)
         fld = generic_field(rng)
         loc = rng.uniform(1, 6, size=3)
         bank = FilterBank(np.stack([[loc, loc]]), np.ones((1, 2, 1)), 8)
-        out = sensor_forward(bank, [fld])
-        assert out.values[0, 0, 0, 0] == out.values[0, 0, 1, 0]
+        values, _ = sensor_forward(bank, [fld])
+        assert values[0, 0, 0, 0] == values[0, 0, 1, 0]
 
     def test_batch_rows_are_the_fields_read_alone(self):
         rng = np.random.default_rng(22)
         bank = small_bank(rng, t=2)
         fields = [generic_field(rng, channels=2) for _ in range(3)]
-        batch = sensor_forward(bank, fields)
+        values, gradients = sensor_forward(bank, fields)
         for row, fld in enumerate(fields):
-            alone = sensor_forward(bank, [fld])
-            np.testing.assert_array_equal(batch.values[row], alone.values[0])
-            np.testing.assert_array_equal(batch.gradients[row], alone.gradients[0])
+            alone_values, alone_gradients = sensor_forward(bank, [fld])
+            np.testing.assert_array_equal(values[row], alone_values[0])
+            np.testing.assert_array_equal(gradients[row], alone_gradients[0])
 
     def test_resolution_mismatch(self):
         rng = np.random.default_rng(2)
@@ -219,18 +219,18 @@ class TestSensor:
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(4)
         bank = small_bank(rng)
-        out = sensor_forward(bank, [generic_field(rng)])
-        grads = sensor_backward(out, np.zeros_like(out.values))
+        values, gradients = sensor_forward(bank, [generic_field(rng)])
+        grads = sensor_backward(gradients, np.zeros_like(values))
         assert grads.shape == bank.locations.shape and not grads.any()
 
     def test_backward_linear_field_unit_upstream(self):
         fld = linear_field((1.0, 0.0, 0.0), 8)
         locs = np.array([[[2.5, 3.5, 4.5], [1.0, 2.0, 3.0]]])
         bank = FilterBank(locs, np.ones((1, 2, 1)), 8)
-        out = sensor_forward(bank, [fld])
+        _, gradients = sensor_forward(bank, [fld])
         upstream = np.zeros((1, 1, 2, 1))
         upstream[0, 0, 0, 0] = 1.0
-        grads = sensor_backward(out, upstream)
+        grads = sensor_backward(gradients, upstream)
         np.testing.assert_allclose(grads[0, 0], [1.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(grads[0, 1], 0.0, atol=1e-12)
 
@@ -239,21 +239,19 @@ class TestSensor:
         bank = small_bank(rng)
         fld = generic_field(rng)
         upstream = rng.standard_normal((1, 3, 4, 1))
-        once = sensor_backward(sensor_forward(bank, [fld]), upstream)
+        once = sensor_backward(sensor_forward(bank, [fld])[1], upstream)
         # one batch of the field twice sums the same two contributions
-        out = sensor_forward(bank, [fld, fld])
-        twice = sensor_backward(out, np.concatenate([upstream, upstream]))
+        _, gradients = sensor_forward(bank, [fld, fld])
+        twice = sensor_backward(gradients, np.concatenate([upstream, upstream]))
         np.testing.assert_allclose(twice, 2 * once, rtol=1e-12)
 
     def test_backward_requires_forward(self):
         rng = np.random.default_rng(6)
         bank = small_bank(rng)
-        with pytest.raises(RuntimeError, match="before forward"):
-            sensor_backward(None, np.zeros((1, 3, 4, 1)))
-        out = sensor_forward(bank, [generic_field(rng)], with_gradients=False)
-        assert out.gradients is None
+        _, gradients = sensor_forward(bank, [generic_field(rng)], with_gradients=False)
+        assert gradients is None
         with pytest.raises(RuntimeError, match="without gradients"):
-            sensor_backward(out, np.zeros((1, 3, 4, 1)))
+            sensor_backward(gradients, np.zeros((1, 3, 4, 1)))
 
     def test_location_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -264,9 +262,9 @@ class TestSensor:
             r_weights = rng.standard_normal((2, 2, 3, 2))
 
             def loss():
-                return float((sensor_forward(bank, fields).values * r_weights).sum())
+                return float((sensor_forward(bank, fields)[0] * r_weights).sum())
 
-            analytic = sensor_backward(sensor_forward(bank, fields), r_weights)
+            analytic = sensor_backward(sensor_forward(bank, fields)[1], r_weights)
             numeric = numeric_gradient(loss, bank.locations, FD_STEP)
             worst = max(worst, block_error(analytic, numeric))
         assert worst <= 1e-5
@@ -415,7 +413,7 @@ class TestPipeline:
         rng = np.random.default_rng(17)
         layer, fields = self.build(rng, [ROLE_DISTANCE, ROLE_GENERIC], batch=3)
         got = layer.forward(fields)
-        staged = sensor_forward(layer.bank, fields).values.copy()
+        staged = sensor_forward(layer.bank, fields)[0].copy()
         staged[..., 0] = gaussian_forward(staged[..., 0], layer.sigma)
         np.testing.assert_array_equal(got, dotproduct_forward(layer.bank, staged))
 
@@ -425,12 +423,12 @@ class TestPipeline:
         layer.bank.weights[:] = 0.0
         layer.bank.weights[0, :, 1] = 1.0  # listen to the pass-through channel
         got = layer.forward(fields)
-        raw = sensor_forward(layer.bank, fields).values[0, 0, :, 1].sum()
+        raw = sensor_forward(layer.bank, fields)[0][0, 0, :, 1].sum()
         assert got[0, 0] == pytest.approx(raw, rel=1e-12)
         layer.bank.weights[:] = 0.0
         layer.bank.weights[0, :, 0] = 1.0  # now only the squashed channel
         got = layer.forward(fields)
-        squashed = gaussian_forward(sensor_forward(layer.bank, fields).values[0, 0, :, 0],
+        squashed = gaussian_forward(sensor_forward(layer.bank, fields)[0][0, 0, :, 0],
                                     layer.sigma)
         assert got[0, 0] == pytest.approx(squashed.sum(), rel=1e-12)
 
@@ -471,16 +469,16 @@ class TestPipeline:
         layer, fields = self.build(rng, [ROLE_DISTANCE, ROLE_GENERIC], batch=2,
                                    frozen=True)
         asked = []
-        gather = probing.gather_corners
+        gather = field.gather_corners
 
-        def spy(field, index, with_gradients=True):
+        def spy(fld, index, with_gradients=True):
             asked.append(with_gradients)
-            return gather(field, index, with_gradients)
+            return gather(fld, index, with_gradients)
 
-        monkeypatch.setattr(probing, "gather_corners", spy)
+        monkeypatch.setattr(field, "gather_corners", spy)
         layer.forward(fields, train=True)
         assert asked == [False, False]
-        assert all(field._block is None for field in fields)
+        assert all(fld._block is None for fld in fields)
 
     def test_composed_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)

@@ -153,6 +153,7 @@ class TestTrainConfig:
         (dict(momentum=1.0), "momentum"),
         (dict(weight_decay=-1), "weight_decay"),
         (dict(batch_size=0), "batch_size"),
+        (dict(batch_size=1), "batch_size"),
         (dict(max_iterations=-1), "max_iterations"),
     ])
     def test_validation(self, kwargs, hint):
@@ -163,6 +164,7 @@ class TestTrainConfig:
         ("resolution=4\n", "resolution must be >= 8"),
         ("seed=1\npipeline_workers=0\n", "pipeline_workers must be >= 1"),
         ("momentum=1.0\n", "momentum must be in"),
+        ("batch_size=1\n", "batch_size must be >= 2"),
     ])
     def test_range_error_in_text_is_parse_error(self, text, hint):
         # the same kind of error SyntheticSpec.from_text reports
