@@ -121,7 +121,9 @@ def build_parser():
     p = sub.add_parser("voxelize",
                        help="convert one shape file into a field file")
     p.add_argument("--in", dest="source", required=True, metavar="SHAPE",
-                   help="input .off mesh or .xyz point cloud")
+                   help="input .off mesh or .xyz point cloud, sampled with a seed "
+                        "from its base name, so the field can differ from the "
+                        "field cache's entry, which seeds by manifest id")
     p.add_argument("--res", type=int, required=True,
                    help="grid resolution R (field is R^3)")
     p.add_argument("--out", required=True, help="output field (.fpf) path")

@@ -220,6 +220,8 @@ def sample_field(fields, points, with_gradients=True):
     its corner rows. A gradient-free sample (eval, frozen banks) of a field
     whose block is not built reads `values` alone and never builds it.
     """
+    if not fields:
+        raise ValueError("a sampled batch needs at least one field")
     t, r = fields[0].channel_count, fields[0].resolution
     if any(field.resolution != r or field.channel_count != t for field in fields):
         raise ValueError("fields in one batch must share their resolution and channels")

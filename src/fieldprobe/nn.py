@@ -1,6 +1,8 @@
 """A minimal dense network stack: parameter tensors, fully connected / batch
 norm / ReLU / dropout layers, softmax cross-entropy, SGD with momentum and
-weight decay, and a finite-difference gradient checker.
+weight decay, and a finite-difference gradient checker that audits every
+gradient a fragment returns: its parameter blocks and, when its backward
+returns one, its input gradient.
 
 Parameters are stored in 32-bit floats (what the checkpoint format holds, so
 save/load is lossless); activations flow in float64. Gradient buffers
@@ -305,15 +307,19 @@ def grad_check(fragment, x, labels=None, step=1e-4, seed=0):
     {block name: max rel error}.
 
     The fragment provides params() / forward / backward, and its forward
-    takes `x` as given (a list of fields for a probing layer). When labels
-    are given the loss is the fragment's softmax cross-entropy; otherwise a
-    fixed random projection of the output, which exercises every output
-    entry. Stochastic layers must be given the same generator stream on
-    every call, which this harness guarantees by reseeding per evaluation.
+    takes `x` as given (a list of fields for a probing layer). When its
+    backward returns an array, the report also holds an `input` entry: that
+    array against the finite differences over `x`, which must then be a
+    float64 array. When labels are given the loss is the fragment's softmax
+    cross-entropy; otherwise a fixed random projection of the output, which
+    exercises every output entry. The projection comes from a stream of its
+    own, `default_rng((seed, 1))`, so it never repeats a caller's draws from
+    `default_rng(seed)` (the same stream as `(seed, 0)`). Stochastic layers
+    must be given the same generator stream on every call, which this
+    harness guarantees by reseeding per evaluation.
     """
-    rng = np.random.default_rng(seed)
     out = fragment.forward(x, train=True, rng=np.random.default_rng(seed + 1))
-    projection = rng.standard_normal(out.shape)
+    projection = np.random.default_rng((seed, 1)).standard_normal(out.shape)
 
     def loss():
         y = fragment.forward(x, train=True, rng=np.random.default_rng(seed + 1))
@@ -325,13 +331,15 @@ def grad_check(fragment, x, labels=None, step=1e-4, seed=0):
         p.zero_grad()
     y = fragment.forward(x, train=True, rng=np.random.default_rng(seed + 1))
     if labels is None:
-        fragment.backward(projection)
+        dx = fragment.backward(projection)
     else:
-        fragment.backward(softmax_cross_entropy(y, labels)[1])
+        dx = fragment.backward(softmax_cross_entropy(y, labels)[1])
 
     report = {}
     for p in fragment.params():
         analytic = p.grad.astype(np.float64).copy()
         numeric = numeric_gradient(loss, p.values, step)
         report[p.name or f"block{len(report)}"] = block_error(analytic, numeric)
+    if dx is not None:
+        report["input"] = block_error(dx, numeric_gradient(loss, x, step))
     return report

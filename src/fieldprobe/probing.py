@@ -160,17 +160,16 @@ def sensor_forward(bank: FilterBank, fields, with_gradients=True):
     `sample_field`. Returns (values, gradients): values (B, C, N, T) and
     the fields' spatial gradients at the probed locations (B, C, N, T, 3),
     kept for backward, or None without gradients (eval, frozen banks)."""
-    if not fields:
-        raise ValueError("a probing batch needs at least one field")
+    c, n, t = bank.filter_count, bank.points_per_filter, bank.channel_count
+    # sample_field refuses an empty batch and one that mixes resolutions or
+    # channel counts
+    values, gradients = sample_field(fields, bank.locations.reshape(c * n, 3),
+                                     with_gradients)
     first = fields[0]
     if first.resolution != bank.resolution:
         raise ValueError(f"field resolution {first.resolution}, bank {bank.resolution}")
     if first.channel_count != bank.channel_count:
         raise ValueError(f"field has {first.channel_count} channels, bank {bank.channel_count}")
-    c, n, t = bank.filter_count, bank.points_per_filter, bank.channel_count
-    # sample_field refuses a batch that mixes resolutions or channel counts
-    values, gradients = sample_field(fields, bank.locations.reshape(c * n, 3),
-                                     with_gradients)
     if any(not np.array_equal(field.roles, first.roles) for field in fields):
         raise ValueError("fields in one batch must share their channel roles")
     if gradients is not None:

@@ -900,75 +900,75 @@ def extract_features(checkpoint_path, manifest_path, out_path, cache_dir=""):
     return out_path
 
 
+def fc_error(seed):
+    """Max relative error of an FC layer's weight, bias and input gradients."""
+    rng = np.random.default_rng(seed)
+    fc = FullyConnected(6, 4, rng, dtype=np.float64)
+    return max(grad_check(fc, rng.standard_normal((5, 6)), seed=seed).values())
+
+
+def bn_error(seed):
+    """Max relative error of a BatchNorm's gamma, beta and input gradients."""
+    x = np.random.default_rng(seed).standard_normal((8, 5))
+    bn = BatchNorm(5, dtype=np.float64)
+    return max(grad_check(bn, x, step=1e-5, seed=seed).values())
+
+
+def dropout_error(seed):
+    """Max relative error of a train-mode dropout's input gradient."""
+    x = np.random.default_rng(seed).standard_normal((6, 5))
+    return grad_check(Dropout(0.4), x, step=1e-5, seed=seed)["input"]
+
+
+def composed_error(seed):
+    """Max relative error of the stack training runs, probing -> batch
+    norm -> ReLU -> FC with cross-entropy, over every parameter block."""
+    rng = np.random.default_rng(seed)
+    res = 6
+    for _ in range(64):
+        fields = [multilinear_field(rng, res, [ROLE_DISTANCE, ROLE_GENERIC])[0]
+                  for _ in range(3)]
+        bank = FilterBank(rng.uniform(0.5, res - 1.5, size=(4, 3, 3)),
+                          rng.standard_normal((4, 3, 2)), res)
+        layer = ProbingLayer(bank, sigma=1.2)
+        net = Network([layer, BatchNorm(4, name="bn", dtype=np.float64),
+                       ReLU(name="relu"),
+                       FullyConnected(4, 3, rng, name="fc", dtype=np.float64)])
+        labels = rng.integers(0, 3, size=3)
+        acts = layer.forward(fields, train=True)
+        pre = net.layers[1].forward(acts, train=True)
+        # redraw until every pre-activation clears the ReLU kink by far
+        # more than the probe step and no channel is batch-degenerate
+        if np.abs(pre).min() >= 3e-2 and acts.std(axis=0).min() >= 0.05:
+            break
+    return max(grad_check(net, fields, labels=labels, step=1e-5).values())
+
+
+def probing_error(seed):
+    """Max relative error of a probing layer's locations and weights.
+    Multilinear fields make finite differences through the sampler exact;
+    the first channel is a distance, so the Gaussian is audited."""
+    rng = np.random.default_rng(seed)
+    res = 8
+    fields = [multilinear_field(rng, res, [ROLE_DISTANCE, ROLE_GENERIC])[0]]
+    bank = FilterBank(rng.uniform(0.5, res - 1.5, size=(3, 4, 3)),
+                      rng.standard_normal((3, 4, 2)), res)
+    return max(grad_check(ProbingLayer(bank, sigma=1.5), fields).values())
+
+
 def gradient_check_report(layer=None):
     """Finite-difference audit of each layer kind, {name: max rel error}.
 
     `layer` restricts the audit to one entry: fc, bn, dropout, composed,
-    or probing. Everything runs in double precision on tiny shapes; each
-    entry draws from its own generator so the set stays stable when run
-    individually.
+    or probing. Each entry is a recipe above run at seed 0, in double
+    precision on tiny shapes. Four of them, all but `probing_error`, are
+    the acceptance suite's own gradient checks (A1), run there at 100 seeds.
     """
-
-    def fc_check(rng):
-        net = Network([FullyConnected(6, 4, rng, name="fc",
-                                      dtype=np.float64)])
-        return grad_check(net, rng.standard_normal((5, 6)))
-
-    def bn_check(rng):
-        net = Network([BatchNorm(5, name="bn", dtype=np.float64)])
-        return grad_check(net, rng.standard_normal((8, 5)))
-
-    def dropout_check(rng):
-        net = Network([FullyConnected(6, 6, rng, name="fc",
-                                      dtype=np.float64),
-                       Dropout(0.4, name="drop")])
-        return grad_check(net, rng.standard_normal((5, 6)))
-
-    def composed_check(rng):
-        # Stock head order (bn -> relu -> fc): an FC bias feeding a
-        # BatchNorm has an identically-zero gradient (the mean subtraction
-        # absorbs it), which a relative audit cannot score. Redraw until
-        # every pre-activation clears the ReLU kink by a margin far above
-        # the probe step, because finite differences lie across the kink.
-        for _ in range(64):
-            net = Network([
-                BatchNorm(6, name="bn", dtype=np.float64),
-                ReLU(name="relu"),
-                FullyConnected(6, 8, rng, name="fc_a", dtype=np.float64),
-                Dropout(0.3, name="drop"),
-                FullyConnected(8, 3, rng, name="fc_b", dtype=np.float64),
-            ])
-            x = rng.standard_normal((6, 6))
-            labels = rng.integers(0, 3, size=6)
-            pre = net.layers[0].forward(x, train=True)
-            if np.abs(pre).min() >= 3e-2:
-                break
-        return grad_check(net, x, labels=labels)
-
-    def probing_check(rng):
-        # multilinear fields make finite differences through the sampler
-        # exact; the first channel is a distance, so the Gaussian is audited
-        resolution = 8
-        fields = [multilinear_field(rng, resolution,
-                                    [ROLE_DISTANCE, ROLE_GENERIC])[0]]
-        bank = FilterBank(rng.uniform(0.5, resolution - 1.5, size=(3, 4, 3)),
-                          rng.standard_normal((3, 4, 2)), resolution)
-        return grad_check(Network([ProbingLayer(bank, sigma=1.5)]), fields)
-
-    recipes = {
-        "fc": fc_check,
-        "bn": bn_check,
-        "dropout": dropout_check,
-        "composed": composed_check,
-        "probing": probing_check,
-    }
+    recipes = {"fc": fc_error, "bn": bn_error, "dropout": dropout_error,
+               "composed": composed_error, "probing": probing_error}
     if layer is not None:
         if layer not in recipes:
             raise ValueError("unknown layer %r (choose from %s)"
                              % (layer, ", ".join(sorted(recipes))))
         recipes = {layer: recipes[layer]}
-    report = {}
-    for name, run in recipes.items():
-        errors = run(np.random.default_rng([0] + list(name.encode())))
-        report[name] = max(errors.values())
-    return report
+    return {name: run(0) for name, run in recipes.items()}

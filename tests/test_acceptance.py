@@ -18,8 +18,6 @@ import pytest
 from fieldprobe.bench import ConvConfig, run_bench
 from fieldprobe.errors import FormatError
 from fieldprobe.field import (
-    Field3D,
-    ROLE_DISTANCE,
     ROLE_GENERIC,
     load_field,
     sample_field,
@@ -27,20 +25,9 @@ from fieldprobe.field import (
     squared_distance_transform,
 )
 from fieldprobe.ingest import OccupancyGrid, load_shape, normalize, voxelize
-from fieldprobe.nn import (
-    BatchNorm,
-    Dropout,
-    FullyConnected,
-    Network,
-    ReLU,
-    block_error,
-    grad_check,
-    numeric_gradient,
-    softmax_cross_entropy,
-)
+from fieldprobe.nn import Dropout, ReLU, block_error, grad_check, numeric_gradient
 from fieldprobe.probing import (
     FilterBank,
-    ProbingLayer,
     dotproduct_backward,
     dotproduct_forward,
     gaussian_backward,
@@ -55,9 +42,13 @@ from fieldprobe.synthetic import (
 )
 from fieldprobe.trainer import (
     TrainConfig,
+    bn_error,
     build_field,
+    composed_error,
+    dropout_error,
     evaluate_checkpoint,
     extract_features,
+    fc_error,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -74,7 +65,9 @@ JITTER = 0.4
 
 
 # --------------------------------------------------------------------------
-# finite-difference harness
+# finite-difference checks of the probing stages and the loss; A1's fc,
+# batchnorm, dropout-mask and composed-1fc recipes are the trainer's, which
+# `fieldprobe gradcheck` runs too
 
 
 def _sensor_error(seed):
@@ -127,98 +120,19 @@ def _dotproduct_error(seed):
     return max(err_weights, err_values)
 
 
-def _fc_error(seed):
-    rng = np.random.default_rng(seed)
-    net = Network([FullyConnected(6, 4, rng, dtype=np.float64)])
-    return max(grad_check(net, rng.standard_normal((5, 6)), seed=seed)
-               .values())
-
-
-def _batchnorm_error(seed):
-    rng = np.random.default_rng(seed)
-    net = Network([BatchNorm(5, dtype=np.float64)])
-    x = rng.standard_normal((8, 5))
-    worst = max(grad_check(net, x, seed=seed).values())
-    # parameter sweeps cannot see the batch-coupled input path, so audit
-    # the input gradient separately
-    proj = rng.standard_normal(x.shape)
-
-    def loss():
-        return float((net.forward(x, train=True) * proj).sum())
-
-    net.forward(x, train=True)
-    dx = net.backward(proj)
-    return max(worst, block_error(dx, numeric_gradient(loss, x, FD_STEP)))
-
-
 def _relu_error(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((6, 5))
+    x = np.random.default_rng(seed).standard_normal((6, 5))
     x += np.where(x >= 0.0, 0.05, -0.05)  # finite differences lie at the kink
-    layer = ReLU()
-    proj = rng.standard_normal(x.shape)
-
-    def loss():
-        return float((layer.forward(x, train=True) * proj).sum())
-
-    layer.forward(x, train=True)
-    return block_error(layer.backward(proj),
-                       numeric_gradient(loss, x, FD_STEP))
-
-
-def _dropout_mask_error(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((6, 5))
-    layer = Dropout(0.4)
-    proj = rng.standard_normal(x.shape)
-
-    def loss():
-        out = layer.forward(x, train=True, rng=np.random.default_rng(seed + 1))
-        return float((out * proj).sum())
-
-    layer.forward(x, train=True, rng=np.random.default_rng(seed + 1))
-    return block_error(layer.backward(proj),
-                       numeric_gradient(loss, x, FD_STEP))
+    return grad_check(ReLU(), x, step=FD_STEP, seed=seed)["input"]
 
 
 def _softmax_ce_error(seed):
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((6, 5)) * 2.0
     labels = rng.integers(0, 5, size=6)
-
-    def loss():
-        return float(softmax_cross_entropy(logits, labels)[0])
-
-    analytic = softmax_cross_entropy(logits, labels)[1]
-    return block_error(analytic,
-                       numeric_gradient(loss, logits, FD_STEP))
-
-
-def _composed_error(seed):
-    """The full single-FC stack: probing -> batch norm -> ReLU -> FC with
-    cross-entropy, finite-differenced over every parameter block."""
-    rng = np.random.default_rng(seed)
-    res = 6
-    for _ in range(64):
-        fields = [multilinear_field(rng, res,
-                                    [ROLE_DISTANCE, ROLE_GENERIC])[0]
-                  for _ in range(3)]
-        bank = FilterBank(rng.uniform(0.5, res - 1.5, size=(4, 3, 3)),
-                          rng.standard_normal((4, 3, 2)), res)
-        layer = ProbingLayer(bank, sigma=1.2)
-        net = Network([layer,
-                       BatchNorm(4, name="bn", dtype=np.float64),
-                       ReLU(name="relu"),
-                       FullyConnected(4, 3, rng, name="fc",
-                                      dtype=np.float64)])
-        labels = rng.integers(0, 3, size=3)
-        acts = layer.forward(fields, train=True)
-        pre = net.layers[1].forward(acts, train=True)
-        # redraw until every pre-activation clears the ReLU kink by far
-        # more than the probe step and no channel is batch-degenerate
-        if np.abs(pre).min() >= 3e-2 and acts.std(axis=0).min() >= 0.05:
-            break
-    return max(grad_check(net, fields, labels=labels, step=FD_STEP).values())
+    # rate-0 dropout is the identity, so its input gradient is the loss's
+    return grad_check(Dropout(0.0), logits, labels=labels, step=FD_STEP,
+                      seed=seed)["input"]
 
 
 # --------------------------------------------------------------------------
@@ -306,12 +220,12 @@ def test_a1_gradient_checks(acceptance):
         ("sensor", _sensor_error, TOL_ISOLATED),
         ("gaussian", _gaussian_error, TOL_ISOLATED),
         ("dotproduct", _dotproduct_error, TOL_ISOLATED),
-        ("fc", _fc_error, TOL_ISOLATED),
-        ("batchnorm", _batchnorm_error, TOL_ISOLATED),
+        ("fc", fc_error, TOL_ISOLATED),
+        ("batchnorm", bn_error, TOL_ISOLATED),
         ("relu", _relu_error, TOL_ISOLATED),
-        ("dropout-mask", _dropout_mask_error, TOL_ISOLATED),
+        ("dropout-mask", dropout_error, TOL_ISOLATED),
         ("softmax-ce", _softmax_ce_error, TOL_ISOLATED),
-        ("composed-1fc", _composed_error, TOL_COMPOSED),
+        ("composed-1fc", composed_error, TOL_COMPOSED),
     ]
     worst = {name: max(run(10_000 * k + i) for i in range(INSTANCES))
              for k, (name, run, _) in enumerate(checks)}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fieldprobe
-from fieldprobe import trainer
+from fieldprobe import nn, trainer
 from fieldprobe.cli import build_parser, main
 from fieldprobe.field import load_field
 from fieldprobe.ingest import parse_perturbation_modes
@@ -19,6 +19,7 @@ from fieldprobe.trainer import (
     FieldCache,
     ShapeDataset,
     TrainConfig,
+    gradient_check_report,
     load_checkpoint,
     sample_seed,
     save_checkpoint,
@@ -412,6 +413,19 @@ class TestGradcheck:
         assert main(["gradcheck", "--layer", "warp"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_sees_batchnorm_input_gradient(self, monkeypatch, capsys):
+        backward = nn.BatchNorm.backward
+
+        def without_mean_term(self, upstream):
+            # cancels the input gradient's -inv_std * mean(dxhat) term
+            _, inv_std = self._cache
+            return (backward(self, upstream)
+                    + inv_std * (upstream * self.gamma.values).mean(axis=0))
+
+        monkeypatch.setattr(nn.BatchNorm, "backward", without_mean_term)
+        assert main(["gradcheck"]) == 1
+        assert "exceeds" in capsys.readouterr().err
+
 
 class TestBench:
 
@@ -426,12 +440,17 @@ class TestBench:
         assert "wrote" in capsys.readouterr().out
 
 
+def readme_block():
+    """The README's Command line block."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        return handle.read().split("## Command line", 1)[1].split("```")[1]
+
+
 def readme_commands():
     """Argument lists of the README's Command line block, with brackets
     dropped and the first alternative of each `|` taken."""
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as handle:
-        block = handle.read().split("## Command line", 1)[1].split("```")[1]
+    block = readme_block()
     commands = []
     for line in block.splitlines():
         if line.startswith("fieldprobe "):
@@ -467,6 +486,18 @@ def test_readme_names_every_flag():
                and flag not in named.get(name, ())]
     assert not missing, ("README's Command line block does not name: "
                          + ", ".join(missing))
+
+
+def test_gradcheck_recipe_names_agree():
+    (readme,) = re.findall(r"gradcheck \[--layer ([^]]*)\]", readme_block())
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    (layer,) = [action for action in commands.choices["gradcheck"]._actions
+                if "--layer" in action.option_strings]
+    (helped,) = re.findall(r"\(([^)]*)\)", layer.help)
+    recipes = set(gradient_check_report())
+    assert set(readme.split("|")) == recipes
+    assert set(helped.split(", ")) == recipes
 
 
 @pytest.mark.parametrize("argv", [

@@ -385,6 +385,10 @@ class TestSampling:
                 with pytest.raises(ValueError, match=hint):
                     sample_field([base, other], pts, with_gradients)
 
+    def test_empty_batch_rejected(self):
+        for with_gradients in (False, True):
+            with pytest.raises(ValueError, match="at least one field"):
+                sample_field([], [[1.0, 1.0, 1.0]], with_gradients)
 
     @pytest.mark.parametrize("channels", [1, 4])
     @pytest.mark.parametrize("built", [False, True])

@@ -122,22 +122,7 @@ class TestBatchNorm:
         bn = BatchNorm(3, dtype=np.float64)
         bn.gamma.values[:] = rng.uniform(0.5, 1.5, size=3)
         bn.beta.values[:] = rng.standard_normal(3)
-
-        class WithInputGrad:
-            # wrap so the input path is exercised through a parameter
-            def __init__(self):
-                self.x = Tensor(rng.standard_normal((6, 3)), name="input", decay=False)
-
-            def params(self):
-                return [self.x, bn.gamma, bn.beta]
-
-            def forward(self, _x, train=True, rng=None):
-                return bn.forward(self.x.values, train=True)
-
-            def backward(self, upstream):
-                self.x.grad += bn.backward(upstream)
-
-        report = grad_check(WithInputGrad(), np.zeros((1, 1)))
+        report = grad_check(bn, rng.standard_normal((6, 3)))
         assert max(report.values()) <= 1e-5
 
     def test_backward_requires_train_forward(self):
@@ -219,18 +204,9 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(12)
         logits = rng.standard_normal((4, 3))
         labels = rng.integers(0, 3, size=4)
-        _, grad = softmax_cross_entropy(logits, labels)
-        numeric = np.zeros_like(logits)
-        h = 1e-6
-        for i in range(4):
-            for j in range(3):
-                logits[i, j] += h
-                hi, _ = softmax_cross_entropy(logits, labels)
-                logits[i, j] -= 2 * h
-                lo, _ = softmax_cross_entropy(logits, labels)
-                logits[i, j] += h
-                numeric[i, j] = (hi - lo) / (2 * h)
-        np.testing.assert_allclose(grad, numeric, atol=1e-8)
+        # rate-0 dropout is the identity, so its input gradient is the loss's
+        report = grad_check(Dropout(0.0), logits, labels=labels, step=1e-6)
+        assert report["input"] <= 1e-8
 
     def test_label_validation(self):
         with pytest.raises(ValueError, match="class range"):
@@ -386,4 +362,13 @@ class TestGradCheckHarness:
         rng = np.random.default_rng(18)
         fc = FullyConnected(3, 2, rng, name="probe", dtype=np.float64)
         report = grad_check(fc, rng.standard_normal((2, 3)))
-        assert set(report) == {"probe.weight", "probe.bias"}
+        assert set(report) == {"probe.weight", "probe.bias", "input"}
+
+    def test_catches_input_sign_flip(self):
+        class Flipped(FullyConnected):
+            def backward(self, upstream):
+                return -super().backward(upstream)  # deliberate fault
+
+        rng = np.random.default_rng(19)
+        fc = Flipped(4, 3, rng, dtype=np.float64)
+        assert grad_check(fc, rng.standard_normal((3, 4)))["input"] >= 0.1
