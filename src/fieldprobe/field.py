@@ -210,6 +210,16 @@ def interpolate(rows, weights, out):
         out += weights[k] * rows[k]
 
 
+def check_batch(fields):
+    """A batch's first field, once none differs in resolution or channels."""
+    if not fields:
+        raise ValueError("a sampled batch needs at least one field")
+    t, r = fields[0].channel_count, fields[0].resolution
+    if any(field.resolution != r or field.channel_count != t for field in fields):
+        raise ValueError("fields in one batch must share their resolution and channels")
+    return fields[0]
+
+
 def sample_field(fields, points, with_gradients=True):
     """Sample every channel of a batch of B fields at shared (M, 3) points.
 
@@ -220,11 +230,8 @@ def sample_field(fields, points, with_gradients=True):
     its corner rows. A gradient-free sample (eval, frozen banks) of a field
     whose block is not built reads `values` alone and never builds it.
     """
-    if not fields:
-        raise ValueError("a sampled batch needs at least one field")
-    t, r = fields[0].channel_count, fields[0].resolution
-    if any(field.resolution != r or field.channel_count != t for field in fields):
-        raise ValueError("fields in one batch must share their resolution and channels")
+    first = check_batch(fields)
+    t, r = first.channel_count, first.resolution
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     index, weights = trilinear_corners(points, r)
     width = 4 * t if with_gradients else t

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ROLE_DISTANCE, sample_field
+from .field import ROLE_DISTANCE, check_batch, sample_field
 from .ingest import GridFrame
 from .nn import Tensor
 
@@ -161,17 +161,16 @@ def sensor_forward(bank: FilterBank, fields, with_gradients=True):
     the fields' spatial gradients at the probed locations (B, C, N, T, 3),
     kept for backward, or None without gradients (eval, frozen banks)."""
     c, n, t = bank.filter_count, bank.points_per_filter, bank.channel_count
-    # sample_field refuses an empty batch and one that mixes resolutions or
-    # channel counts
-    values, gradients = sample_field(fields, bank.locations.reshape(c * n, 3),
-                                     with_gradients)
-    first = fields[0]
+    # every check comes before the read, so a refused batch is never read
+    first = check_batch(fields)
     if first.resolution != bank.resolution:
         raise ValueError(f"field resolution {first.resolution}, bank {bank.resolution}")
     if first.channel_count != bank.channel_count:
         raise ValueError(f"field has {first.channel_count} channels, bank {bank.channel_count}")
     if any(not np.array_equal(field.roles, first.roles) for field in fields):
         raise ValueError("fields in one batch must share their channel roles")
+    values, gradients = sample_field(fields, bank.locations.reshape(c * n, 3),
+                                     with_gradients)
     if gradients is not None:
         gradients = gradients.reshape(-1, c, n, t, 3)
     return values.reshape(-1, c, n, t), gradients

@@ -75,6 +75,7 @@ CHECKPOINT_MAGIC = b"FPCK"
 CHECKPOINT_VERSION = 1
 
 METRICS_HEADER = "iteration,loss,train_acc,eval_acc,wall_ms"
+CHUNK = 64  # samples per forward pass of an evaluation or export
 
 
 @dataclasses.dataclass(frozen=True)
@@ -232,7 +233,7 @@ class ShapeDataset:
     """Manifest-backed shapes, normalized lazily and memoized. `ids` are
     the manifest's paths as written, relative to its directory; `paths`
     are the same files resolved, which tell apart two manifests that list
-    the same relative path."""
+    the same relative path. `seeds` holds each id's `sample_seed`."""
 
     def __init__(self, manifest_path, resolution, class_count=0):
         entries = load_manifest(manifest_path)
@@ -240,6 +241,7 @@ class ShapeDataset:
         self.ids = [path for path, _ in entries]
         self.paths = [os.path.normpath(os.path.join(self.base, path))
                       for path in self.ids]
+        self.seeds = [sample_seed(path) for path in self.ids]
         self.labels = np.array([label for _, label in entries], dtype=np.int64)
         top = int(self.labels.max())
         if class_count == 0:
@@ -254,17 +256,11 @@ class ShapeDataset:
     def __len__(self):
         return len(self.ids)
 
-    def id(self, index):
-        return self.ids[index]
-
-    def label(self, index):
-        return int(self.labels[index])
-
     def shape(self, index):
         """The normalized sample; raw file I/O happens on first access."""
         cached = self._shapes.get(index)
         if cached is None:
-            raw = load_shape(self.paths[index], self.label(index))
+            raw = load_shape(self.paths[index], int(self.labels[index]))
             cached = normalize(raw, self.resolution)
             self._shapes[index] = cached
         return cached
@@ -297,11 +293,6 @@ def eval_draw(modes, seed):
     return perturbation, int(rng.integers(2 ** 63))
 
 
-def _key(dataset, index):
-    """A sample's cache key: its resolved path and voxelization seed."""
-    return dataset.paths[index], sample_seed(dataset.id(index))
-
-
 def sample_seed(sample_id):
     """Stable voxelization seed for a manifest entry, independent of any
     generator state so cached fields never depend on training order."""
@@ -324,14 +315,14 @@ class FieldCache:
     `pipeline_workers` threads. scipy's feature transform, the floor of
     a view, releases the GIL, so builds overlap.
 
-    An entry is keyed on the shape's resolved path and its voxelization
-    seed, which follows the manifest id, so its bytes depend neither on
-    where the dataset lives nor on what else the cache has served.
-    Evaluation views add EVAL_SEED and the protocol's modes in order
-    (draws follow that order: S+R15 is not R15+S), and their file names
-    end in the protocol. A disk entry that fails to parse, such as a
-    truncated copy, is rebuilt and rewritten; an evaluation view that
-    cannot be written is served uncached."""
+    `path` is the one place that names an entry. An entry is keyed on
+    the shape's resolved path and its voxelization seed, so its bytes
+    depend neither on where the dataset lives nor on what else the cache
+    has served. Evaluation views add EVAL_SEED and the protocol's modes
+    in order (draws follow that order: S+R15 is not R15+S), and their
+    file names end in the protocol. A missing or unparsable entry, such
+    as a truncated copy, is rebuilt and rewritten; an evaluation view
+    that cannot be written is served uncached."""
 
     def __init__(self, cache_dir, resolution, channels,
                  samples_per_area=DEFAULT_SAMPLES_PER_AREA):
@@ -350,13 +341,13 @@ class FieldCache:
         if self.dir:
             os.makedirs(self.dir, exist_ok=True)
 
-    def _path(self, key, perturb):
-        """Disk entry of `key` (resolved path, voxelization seed) under the
-        protocol `perturb`, or None without a directory."""
+    def path(self, dataset, index, perturb=()):
+        """Disk entry of sample `index` of `dataset` under the protocol
+        `perturb`, or None without a directory."""
         if not self.dir:
             return None
-        shape_path, seed = key
-        tag = "%s|%d|%s" % (shape_path, seed, self._tag)
+        tag = "%s|%d|%s" % (dataset.paths[index], dataset.seeds[index],
+                            self._tag)
         suffix = ""
         if perturb:
             protocol = "+".join(perturb)
@@ -370,36 +361,37 @@ class FieldCache:
         `perturb` has an entry on disk. An entry that fails to parse
         still counts: the pass that meets it rebuilds it."""
         return bool(self.dir) and all(
-            os.path.exists(self._path(_key(dataset, index), perturb))
+            os.path.exists(self.path(dataset, index, perturb))
             for index in range(len(dataset)))
 
     def field_for(self, dataset, index, perturb=()):
         """The sample's unaugmented field or, with `perturb` modes, its
         evaluation view under that protocol."""
-        key = _key(dataset, index)
         if perturb:
             # disk only, and outside the lock: each evaluation opens a new
             # cache, and pipeline workers build their misses side by side
-            return self._load_or_build(dataset, index, key, perturb)
+            return self._load_or_build(dataset, index, perturb)
+        key = dataset.paths[index], dataset.seeds[index]
         # serialized so concurrent callers never build one field twice
         with self._lock:
             field = self._memory.get(key)
             if field is None:
-                field = self._load_or_build(dataset, index, key, ())
+                field = self._load_or_build(dataset, index, ())
                 self._memory[key] = field
             return field
 
-    def _load_or_build(self, dataset, index, key, perturb):
+    def _load_or_build(self, dataset, index, perturb):
         """The disk entry, or the field built and written there. A missing
         or corrupt entry is a miss: rebuilt and rewritten."""
-        path = self._path(key, perturb)
-        if path and os.path.exists(path):
+        path = self.path(dataset, index, perturb)
+        if path:
             try:
                 return load_field(path)
-            except FormatError:
+            except (FileNotFoundError, FormatError):
                 pass
-        perturbation, vox_seed = (eval_draw(perturb, key[1]) if perturb
-                                  else (None, key[1]))
+        seed = dataset.seeds[index]
+        perturbation, vox_seed = (eval_draw(perturb, seed) if perturb
+                                  else (None, seed))
         field = _build(self, dataset.shape(index), perturbation, vox_seed)
         if path:
             try:
@@ -585,9 +577,9 @@ class EvalResult:
     confusion: np.ndarray  # (classes, classes), rows true, columns predicted
 
 
-def _forward_dataset(net, dataset, cache, cfg, perturb=(), chunk=64):
+def _forward_dataset(net, dataset, cache, cfg, perturb=()):
     """Yield (indices, eval-mode output of `net`) over the dataset, one
-    chunk of `chunk` samples at a time, one deterministic view per sample.
+    chunk of `CHUNK` samples at a time, one deterministic view per sample.
 
     With `perturb` modes each view is the cache's evaluation view of the
     sample under that protocol, so repeated passes see identical inputs no
@@ -602,8 +594,8 @@ def _forward_dataset(net, dataset, cache, cfg, perturb=(), chunk=64):
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    chunks = [range(start, min(start + chunk, len(dataset)))
-              for start in range(0, len(dataset), chunk)]
+    chunks = [range(start, min(start + CHUNK, len(dataset)))
+              for start in range(0, len(dataset), CHUNK)]
     workers = 1
     if perturb and not cache.holds(dataset, perturb):
         workers = cfg.pipeline_workers
@@ -617,12 +609,12 @@ def _forward_dataset(net, dataset, cache, cfg, perturb=(), chunk=64):
         yield indices, outputs
 
 
-def evaluate_network(net, dataset, cache, cfg, perturb=(), chunk=64):
+def evaluate_network(net, dataset, cache, cfg, perturb=()):
     """Eval-mode accuracy and confusion over one deterministic view per
-    sample; `perturb` and `chunk` are as in `_forward_dataset`."""
+    sample; `perturb` is as in `_forward_dataset`."""
     predictions = np.empty(len(dataset), dtype=np.int64)
     for indices, logits in _forward_dataset(net, dataset, cache, cfg,
-                                            perturb, chunk):
+                                            perturb):
         predictions[indices.start:indices.stop] = np.argmax(logits, axis=1)
     confusion = np.zeros((dataset.class_count, dataset.class_count),
                          dtype=np.int64)
@@ -894,8 +886,8 @@ def extract_features(checkpoint_path, manifest_path, out_path, cache_dir=""):
         handle.write("id,label," +
                      ",".join("f%d" % i for i in range(features.shape[1]))
                      + "\n")
-        for index, feats in enumerate(features):
-            handle.write("%s,%d,%s\n" % (dataset.id(index), dataset.label(index),
+        for name, label, feats in zip(dataset.ids, dataset.labels, features):
+            handle.write("%s,%d,%s\n" % (name, label,
                                          ",".join("%.9g" % v for v in feats)))
     return out_path
 

@@ -175,8 +175,10 @@ def frozen_run(workspace):
 @pytest.fixture(scope="module")
 def augmented_run(workspace):
     """Retrained under train-time perturbations, scored under the same
-    perturbation protocol."""
-    cfg = desk_config(workspace, "augmented", augmentation="R15+T01+S")
+    perturbation protocol. Views are built on two pipeline workers, which
+    changes wall time only (see test_worker_count_does_not_change_results)."""
+    cfg = desk_config(workspace, "augmented", augmentation="R15+T01+S",
+                      pipeline_workers=2)
     result = train(cfg)
     scored = evaluate_checkpoint(result.checkpoint_path, workspace["test"],
                                  perturb="R15+T01+S",

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fieldprobe import bench
-from fieldprobe.bench import (BENCH_HEADER, BenchReport, BenchRow, ConvConfig,
-                              conv3d_reference, run_bench)
+from fieldprobe.bench import (BENCH_HEADER, ConvConfig, conv3d_reference,
+                              run_bench)
 
 
 def brute_conv(volume, weights, stride):

@@ -21,7 +21,6 @@ from fieldprobe.trainer import (
     TrainConfig,
     gradient_check_report,
     load_checkpoint,
-    sample_seed,
     save_checkpoint,
 )
 
@@ -232,8 +231,7 @@ class TestTrain:
         cfg = TrainConfig.from_file(killed)
         ds = ShapeDataset(cfg.test_manifest, cfg.resolution)
         entry = FieldCache(cfg.cache_dir, cfg.resolution, cfg.channels,
-                           cfg.samples_per_area)._path(
-            (ds.paths[3], sample_seed(ds.id(3))), ())
+                           cfg.samples_per_area).path(ds, 3)
         exit_at_rename(when, os.path.basename(entry),
                        ["train", "--config", killed], tmp_path)
         run = tmp_path / "killed"
@@ -324,9 +322,8 @@ class TestEval:
         views = tmp_path / "views"
         ds = ShapeDataset(manifest, cfg.resolution)
         entry = FieldCache(str(views), cfg.resolution, cfg.channels,
-                           cfg.samples_per_area)._path(
-            (ds.paths[3], sample_seed(ds.id(3))),
-            parse_perturbation_modes("R15"))
+                           cfg.samples_per_area).path(
+            ds, 3, parse_perturbation_modes("R15"))
         argv += ["--cache-dir", str(views)]
         exit_at_rename(when, os.path.basename(entry), argv, tmp_path)
         assert os.path.exists(entry) == (when == "after")

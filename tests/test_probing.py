@@ -216,6 +216,19 @@ class TestSensor:
         with pytest.raises(ValueError, match="at least one field"):
             sensor_forward(bank, [])
 
+    @pytest.mark.parametrize("refusal", ["resolution", "channels", "roles"])
+    def test_refused_batch_is_not_read(self, refusal):
+        # a read with gradients would build each field's gradient block
+        rng = np.random.default_rng(25)
+        bank = small_bank(rng)
+        fields = {"resolution": [generic_field(rng, r=16)],
+                  "channels": [generic_field(rng, channels=2)],
+                  "roles": [multilinear_field(rng, 8, [ROLE_DISTANCE])[0],
+                            generic_field(rng)]}[refusal]
+        with pytest.raises(ValueError, match=refusal):
+            sensor_forward(bank, fields)
+        assert all(fld._block is None for fld in fields)
+
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(4)
         bank = small_bank(rng)

@@ -27,7 +27,6 @@ from fieldprobe.synthetic import (
     multilinear_field,
 )
 from fieldprobe.trainer import (
-    Checkpoint,
     FieldCache,
     ShapeDataset,
     TrainConfig,
@@ -193,8 +192,9 @@ class TestShapeDataset:
         ds = ShapeDataset(workbench["train"], 32)
         assert len(ds) == 12
         assert ds.class_count == 2
-        assert sorted({ds.label(i) for i in range(len(ds))}) == [0, 1]
-        assert ds.id(0).startswith("shapes/")
+        assert sorted(set(ds.labels.tolist())) == [0, 1]
+        assert ds.ids[0].startswith("shapes/")
+        assert ds.seeds == [sample_seed(path) for path in ds.ids]
 
     def test_shapes_come_normalized_and_memoized(self, workbench):
         ds = ShapeDataset(workbench["train"], 32)
@@ -246,6 +246,17 @@ class TestFieldCache:
         assert rebuilt.values.tobytes() == cold.values.tobytes()
         assert os.listdir(tmp_path) == [name]
         assert read_bytes(path) == whole
+
+    def test_unreadable_entry_is_not_a_miss(self, workbench, tmp_path,
+                                            monkeypatch):
+        # only a missing or unparsable entry is rebuilt; an entry that
+        # cannot be opened for another reason is an error, not a miss
+        ds = ShapeDataset(workbench["train"], 16)
+        cache = FieldCache(str(tmp_path), 16, "distance")
+        os.mkdir(cache.path(ds, 0))
+        monkeypatch.setattr(trainer, "voxelize", refuse)
+        with pytest.raises(IsADirectoryError):
+            cache.field_for(ds, 0)
 
     def test_key_separates_resolutions(self, workbench, tmp_path):
         ds32 = ShapeDataset(workbench["train"], 32)
@@ -342,8 +353,7 @@ def no_pool(*args, **kwargs):
 
 def fresh_eval_view(ds, index, modes, resolution=16, channels="distance"):
     """A sample's evaluation view built from its draw, with no cache."""
-    perturbation, vox_seed = trainer.eval_draw(modes,
-                                               sample_seed(ds.id(index)))
+    perturbation, vox_seed = trainer.eval_draw(modes, ds.seeds[index])
     return trainer._build(FieldCache(None, resolution, channels),
                           ds.shape(index), perturbation, vox_seed)
 
@@ -430,8 +440,8 @@ class TestEvalViewCache:
         ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
         cache = FieldCache(str(tmp_path), cfg.resolution, cfg.channels)
         evaluate_network(result.net, ds, cache, result.config)
-        expected = {os.path.basename(cache._path(
-            (ds.paths[i], sample_seed(ds.id(i))), ())) for i in range(len(ds))}
+        expected = {os.path.basename(cache.path(ds, i))
+                    for i in range(len(ds))}
         assert set(os.listdir(tmp_path)) == expected
         assert all(name.count(".") == 1 for name in expected)
 
@@ -973,11 +983,12 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("on_disk", [False, True])
     def test_perturbed_eval_independent_of_worker_count(
-            self, workbench, mini_run, tmp_path, on_disk):
+            self, workbench, mini_run, tmp_path, monkeypatch, on_disk):
         # chunks of 2 over 6 samples, so views are built across chunks; 5
         # workers and a short switch interval shuffle the build order. Each
         # worker count builds its views, with no cache directory or into a
         # fresh one, which a second pass at that worker count then loads
+        monkeypatch.setattr(trainer, "CHUNK", 2)
         cfg, result = mini_run
         ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
         modes = parse_perturbation_modes("R15+T01+S")
@@ -995,7 +1006,7 @@ class TestEvaluation:
                         net, ds, cache,
                         dataclasses.replace(result.config,
                                             pipeline_workers=workers),
-                        perturb=modes, chunk=2)
+                        perturb=modes)
                     seen.append((net.views,
                                  [a.tobytes() for a in net.logits],
                                  res.accuracy, res.confusion.tolist()))
@@ -1029,8 +1040,7 @@ class TestEvaluation:
 
         expected = passes("views")
         entry = FieldCache(str(tmp_path / "views"), cfg.resolution,
-                           cfg.channels)._path(
-            (ds.paths[4], sample_seed(ds.id(4))), modes)
+                           cfg.channels).path(ds, 4, modes)
         whole = read_bytes(entry)
         write_bytes(entry, whole[:len(whole) // 2])
         monkeypatch.setattr(trainer, "ThreadPoolExecutor", no_pool)
@@ -1049,6 +1059,7 @@ class TestEvaluation:
         # the middle of the first chunk. A pass decides once: one with the
         # entry missing runs wholly on the pool, and one with the entry
         # truncated runs on the calling thread, which rebuilds it there
+        monkeypatch.setattr(trainer, "CHUNK", 4)
         cfg, result = mini_run
         ds = ShapeDataset(workbench["test"], cfg.resolution, class_count=2)
         modes = parse_perturbation_modes("R15+T01+S")
@@ -1066,15 +1077,15 @@ class TestEvaluation:
             net = RecordingNetwork(result.net)
             res = evaluate_network(
                 net, ds, FieldCache(cache_dir, cfg.resolution, cfg.channels),
-                wide, perturb=modes, chunk=4)
+                wide, perturb=modes)
             return ((net.views, [a.tobytes() for a in net.logits],
                      res.accuracy, res.confusion.tolist()), len(pools))
 
         cache_dir = str(tmp_path)
         uncached, _ = score(None)
         cold = score(cache_dir)
-        entry = FieldCache(cache_dir, cfg.resolution, cfg.channels)._path(
-            (ds.paths[2], sample_seed(ds.id(2))), modes)
+        entry = FieldCache(cache_dir, cfg.resolution, cfg.channels).path(
+            ds, 2, modes)
         whole = read_bytes(entry)
         warm = score(cache_dir)
         os.remove(entry)
@@ -1275,7 +1286,7 @@ class TestModelStateLoading:
             x = layer.forward(x, train=False)
         expected = "id,label," + ",".join(
             "f%d" % i for i in range(x.shape[1])) + "\n" + "".join(
-            "%s,%d,%s\n" % (ds.id(i), ds.label(i),
+            "%s,%d,%s\n" % (ds.ids[i], ds.labels[i],
                             ",".join("%.9g" % v for v in row))
             for i, row in enumerate(x))
 
